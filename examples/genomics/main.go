@@ -141,4 +141,5 @@ func main() {
 	}
 	fmt.Printf("stage 3 (2-bit pack): %d -> %d bytes (4.0x) at %.0f MB/s/lane\n",
 		len(seq), len(packed), udp.RateMBps(len(seq), plane.Stats().Cycles))
+	plane.Close()
 }

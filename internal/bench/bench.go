@@ -70,6 +70,10 @@ type Report struct {
 	// by the request count over the run window (server only) — the number
 	// the memsys slab path is meant to hold down. Compare gates on it.
 	AllocsPerRequest float64 `json:"allocs_per_request,omitempty"`
+	// BytesPerRequest is the heap bytes allocated over the same window per
+	// request. An object count cannot tell a 16 KiB bank window from a
+	// 16-byte header, so Compare gates on both.
+	BytesPerRequest float64 `json:"bytes_per_request,omitempty"`
 	// GCPauseP99Ms is the p99 stop-the-world GC pause over the run window
 	// in milliseconds (server only).
 	GCPauseP99Ms float64 `json:"gc_pause_p99_ms,omitempty"`
@@ -429,6 +433,7 @@ func Server(scale, concurrency, passes, reqBytes int, seed int64) (*Report, erro
 	rtAfter := memsys.ReadRuntime()
 	if rep.Requests > 0 {
 		r.AllocsPerRequest = float64(msAfter.Mallocs-msBefore.Mallocs) / float64(rep.Requests)
+		r.BytesPerRequest = float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / float64(rep.Requests)
 	}
 	r.GCPauseP99Ms = memsys.PauseDeltaQuantile(rtBefore.GCPauses, rtAfter.GCPauses, 0.99) * 1e3
 	r.Passes = rep.Requests
@@ -454,9 +459,13 @@ func WriteJSON(path string, r *Report) error {
 
 // Summary is the one-line human rendering of a report.
 func (r *Report) Summary() string {
-	return fmt.Sprintf("%s: scale %d (%d rows, %.1f MB) x %d passes: %.1f MB/s, p50 %.2f ms, p99 %.2f ms, %d errors",
+	s := fmt.Sprintf("%s: scale %d (%d rows, %.1f MB) x %d passes: %.1f MB/s, p50 %.2f ms, p99 %.2f ms, %d errors",
 		r.Name, r.Scale, r.Rows, float64(r.InputBytes)/1e6, r.Passes,
 		r.ThroughputMBps, r.P50Ms, r.P99Ms, r.Errors)
+	if r.AllocsPerRequest > 0 {
+		s += fmt.Sprintf(", %.1f allocs/req, %.0f B/req", r.AllocsPerRequest, r.BytesPerRequest)
+	}
+	return s
 }
 
 // ReadJSON loads a report previously written by WriteJSON.
@@ -535,26 +544,33 @@ func Compare(oldPath, newPath string, w io.Writer) error {
 	return engineGate(newR, w)
 }
 
-// allocGateSlack is the tolerated allocs-per-request growth between two
-// server reports: more than +10% fails the comparison. Allocation counts
-// are near-deterministic (unlike throughput), so the band only needs to
-// absorb code-path jitter like pool warmup and GC-triggered assists.
+// allocGateSlack is the tolerated growth of allocations per request, by
+// count and by bytes, between two server reports: more than +10% fails the
+// comparison. Both are near-deterministic (unlike throughput), so the band
+// only needs to absorb code-path jitter like pool warmup and GC-triggered
+// assists.
 const allocGateSlack = 1.10
 
 // allocGate fails the comparison when the new report allocates more than
-// allocGateSlack times the old report's allocs per request. Reports
-// without the field (exec reports, or server reports predating it) pass
-// vacuously.
+// allocGateSlack times the old report's objects or bytes per request. A
+// field missing from either report (exec reports, or server reports
+// predating it) passes vacuously.
 func allocGate(oldR, newR *Report, w io.Writer) error {
-	if oldR.AllocsPerRequest <= 0 || newR.AllocsPerRequest <= 0 {
-		return nil
-	}
-	fmt.Fprintf(w, "%-20s %12.1f %12.1f %+8.1f%%\n", "allocs/request",
-		oldR.AllocsPerRequest, newR.AllocsPerRequest,
-		(newR.AllocsPerRequest/oldR.AllocsPerRequest-1)*100)
-	if newR.AllocsPerRequest > oldR.AllocsPerRequest*allocGateSlack {
-		return fmt.Errorf("alloc gate failed: %.1f allocs/request, was %.1f (>%+.0f%%)",
-			newR.AllocsPerRequest, oldR.AllocsPerRequest, (allocGateSlack-1)*100)
+	for _, g := range []struct {
+		unit     string
+		old, new float64
+	}{
+		{"allocs/request", oldR.AllocsPerRequest, newR.AllocsPerRequest},
+		{"B/request", oldR.BytesPerRequest, newR.BytesPerRequest},
+	} {
+		if g.old <= 0 || g.new <= 0 {
+			continue
+		}
+		fmt.Fprintf(w, "%-20s %12.1f %12.1f %+8.1f%%\n", g.unit, g.old, g.new, (g.new/g.old-1)*100)
+		if g.new > g.old*allocGateSlack {
+			return fmt.Errorf("alloc gate failed: %.1f %s, was %.1f (>%+.0f%%)",
+				g.new, g.unit, g.old, (allocGateSlack-1)*100)
+		}
 	}
 	return nil
 }

@@ -97,6 +97,35 @@ func TestCompareEngineGate(t *testing.T) {
 	}
 }
 
+// TestCompareAllocGateSeesBytes: two buffers of 16 KiB are two objects in
+// two hundred; only the byte count shows them.
+func TestCompareAllocGateSeesBytes(t *testing.T) {
+	write := func(r *Report) string {
+		path := filepath.Join(t.TempDir(), "BENCH_server.json")
+		if err := WriteJSON(path, r); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	old := &Report{Name: "server", ThroughputMBps: 40, AllocsPerRequest: 200, BytesPerRequest: 120 << 10}
+	var out strings.Builder
+	same := &Report{Name: "server", ThroughputMBps: 40, AllocsPerRequest: 205, BytesPerRequest: 125 << 10}
+	if err := Compare(write(old), write(same), &out); err != nil {
+		t.Fatalf("gate tripped inside the band: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "B/request") {
+		t.Fatalf("bytes row missing:\n%s", out.String())
+	}
+	fat := &Report{Name: "server", ThroughputMBps: 40, AllocsPerRequest: 202, BytesPerRequest: 152 << 10}
+	if err := Compare(write(old), write(fat), &out); err == nil {
+		t.Fatalf("gate missed 32 KiB more per request in two more objects:\n%s", out.String())
+	}
+	legacy := &Report{Name: "server", ThroughputMBps: 40, AllocsPerRequest: 200}
+	if err := Compare(write(legacy), write(fat), &out); err != nil {
+		t.Fatalf("a report predating bytes_per_request must pass vacuously: %v", err)
+	}
+}
+
 func TestServerReportShapeAndJSON(t *testing.T) {
 	// Tiny load: 2 clients x 2 passes over 64 KiB request bodies keeps this
 	// fast.
@@ -109,6 +138,9 @@ func TestServerReportShapeAndJSON(t *testing.T) {
 	}
 	if r.Passes != 4 || r.Samples != 4 || r.ThroughputMBps <= 0 {
 		t.Fatalf("bad report %+v", r)
+	}
+	if r.AllocsPerRequest <= 0 || r.BytesPerRequest <= 0 {
+		t.Fatalf("allocation counters missing: %+v", r)
 	}
 	if r.InputBytes > 64<<10 || r.Rows <= 0 {
 		t.Fatalf("req-bytes cut not applied: %+v", r)

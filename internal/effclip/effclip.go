@@ -20,6 +20,7 @@
 package effclip
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -121,6 +122,37 @@ type Image struct {
 	// imports effclip, not the reverse). See CompiledForm.
 	compileOnce sync.Once
 	compiled    any
+
+	// window is the lazily-built load-time lane window (see LoadWindow).
+	windowOnce sync.Once
+	window     []byte
+}
+
+// LoadWindow returns the image's load-time lane memory — the code words
+// with DataInit laid over a zeroed scratch region — built on first use and
+// shared read-only by every lane, exactly as Decoded is: a lane copies it
+// into its bank window at load and restores store-dirtied ranges from it
+// on Reset. It is as long as the footprint (or the furthest DataInit
+// payload, whichever ends later); window bytes past its end load as zero.
+// The caller bounds-checks DataInit against its window first (NewLane).
+func (im *Image) LoadWindow() []byte {
+	im.windowOnce.Do(func() {
+		n := im.FootprintBytes()
+		for off, b := range im.DataInit {
+			if end := im.DataBase + off + len(b); end > n {
+				n = end
+			}
+		}
+		w := make([]byte, n)
+		for i, word := range im.Words {
+			binary.LittleEndian.PutUint32(w[i*core.WordBytes:], word)
+		}
+		for off, b := range im.DataInit {
+			copy(w[im.DataBase+off:], b)
+		}
+		im.window = w
+	})
+	return im.window
 }
 
 // CompiledForm memoizes an engine-specific compiled form of the image:

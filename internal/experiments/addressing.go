@@ -51,6 +51,7 @@ func AddressingStudy(cfg Config) (*Table, error) {
 		lane.EnableBankTrace()
 		lane.SetInput(shard)
 		if err := lane.Run(0); err != nil {
+			lane.Close()
 			return nil, err
 		}
 		traces = append(traces, append([]uint64(nil), lane.BankTrace()...))
@@ -58,6 +59,7 @@ func AddressingStudy(cfg Config) (*Table, error) {
 		if lane.Stats().Cycles > maxCycles {
 			maxCycles = lane.Stats().Cycles
 		}
+		lane.Close()
 	}
 
 	// Global mode: all counter updates land in one shared bank; count

@@ -362,6 +362,7 @@ func RunDecoder(im *effclip.Image, comp []byte, outLen int) ([]byte, machine.Sta
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
+	defer lane.Close()
 	lane.SetInput(padded)
 	if err := lane.Run(0); err != nil {
 		return nil, machine.Stats{}, err
@@ -370,7 +371,7 @@ func RunDecoder(im *effclip.Image, comp []byte, outLen int) ([]byte, machine.Sta
 	if len(out) < outLen {
 		return nil, lane.Stats(), fmt.Errorf("huffman: UDP decoded %d of %d symbols", len(out), outLen)
 	}
-	return out[:outLen], lane.Stats(), nil
+	return append([]byte(nil), out[:outLen]...), lane.Stats(), nil
 }
 
 // RunEncoder executes the encoder image over data, returning the packed
@@ -380,10 +381,11 @@ func RunEncoder(im *effclip.Image, data []byte) ([]byte, machine.Stats, error) {
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
+	defer lane.Close()
 	lane.SetInput(data)
 	if err := lane.Run(0); err != nil {
 		return nil, machine.Stats{}, err
 	}
 	lane.FlushBits()
-	return lane.Output(), lane.Stats(), nil
+	return append([]byte(nil), lane.Output()...), lane.Stats(), nil
 }

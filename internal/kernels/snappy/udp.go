@@ -343,6 +343,7 @@ func (c *Codec) CompressUDP(src []byte) ([]Block, machine.Stats, error) {
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
+	defer lane.Close()
 	var blocks []Block
 	var total machine.Stats
 	zeros := make([]byte, encTblBytes)
@@ -385,6 +386,7 @@ func (c *Codec) DecompressUDP(blocks []Block) ([]byte, machine.Stats, error) {
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}
+	defer lane.Close()
 	var out []byte
 	var total machine.Stats
 	for _, b := range blocks {

@@ -27,6 +27,7 @@ import (
 	"udp/internal/kernels/pattern"
 	"udp/internal/kernels/xmlparse"
 	"udp/internal/machine"
+	"udp/internal/memsys"
 	"udp/internal/workload"
 )
 
@@ -53,9 +54,9 @@ type runOut struct {
 	engine machine.Engine
 }
 
-func runPath(t *testing.T, img *effclip.Image, input []byte, setup func(*machine.Lane), engine machine.Engine, budget uint64) runOut {
+func runBanks(t *testing.T, img *effclip.Image, banks int, input []byte, setup func(*machine.Lane), engine machine.Engine, budget uint64) runOut {
 	t.Helper()
-	lane, err := machine.NewLane(img, 0)
+	lane, err := machine.NewLane(img, banks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,17 +117,65 @@ func diffAgainst(t *testing.T, name string, ref, got runOut) {
 // diffRun executes input on all three tiers and fails the test on any
 // observable divergence, returning the runs for case-specific assertions.
 func diffRun(t *testing.T, img *effclip.Image, input []byte, setup func(*machine.Lane)) (ref, dec, comp runOut) {
-	return diffRunBudget(t, img, input, setup, 0)
+	t.Helper()
+	return diffRunBanks(t, img, 0, input, setup, 0)
 }
 
-func diffRunBudget(t *testing.T, img *effclip.Image, input []byte, setup func(*machine.Lane), budget uint64) (ref, dec, comp runOut) {
+// diffRunBanks is the whole harness. The three tiers first run on lanes
+// whose memory is freshly allocated (an empty slab manager misses on every
+// Get), then again on lanes built from recycled slabs full of poison: a
+// lane must behave the same whatever its slabs held before.
+func diffRunBanks(t *testing.T, img *effclip.Image, banks int, input []byte, setup func(*machine.Lane), budget uint64) (ref, dec, comp runOut) {
 	t.Helper()
-	ref = runPath(t, img, input, setup, machine.EngineInterp, budget)
-	dec = runPath(t, img, input, setup, machine.EngineDecoded, budget)
-	comp = runPath(t, img, input, setup, machine.EngineCompiled, budget)
+	fresh := memsys.New(memsys.Config{})
+	defer fresh.Close()
+	defer machine.SwapSlabs(fresh)()
+	ref = runBanks(t, img, banks, input, setup, machine.EngineInterp, budget)
+	dec = runBanks(t, img, banks, input, setup, machine.EngineDecoded, budget)
+	comp = runBanks(t, img, banks, input, setup, machine.EngineCompiled, budget)
 	diffAgainst(t, "decoded", ref, dec)
 	diffAgainst(t, "compiled", ref, comp)
+
+	recycled := memsys.New(memsys.Config{})
+	defer recycled.Close()
+	defer machine.SwapSlabs(recycled)()
+	for _, tier := range []struct {
+		name   string
+		engine machine.Engine
+		want   runOut
+	}{
+		{"memory on recycled slabs", machine.EngineInterp, ref},
+		{"decoded on recycled slabs", machine.EngineDecoded, dec},
+		{"compiled on recycled slabs", machine.EngineCompiled, comp},
+	} {
+		refillPoison(recycled)
+		got := runBanks(t, img, banks, input, setup, tier.engine, budget)
+		diffAgainst(t, tier.name, tier.want, got)
+		if got.engine != tier.want.engine {
+			t.Fatalf("%s ran on %v, fresh memory on %v", tier.name, got.engine, tier.want.engine)
+		}
+	}
+	for _, c := range recycled.Stats().Classes {
+		if c.Hits != c.Gets {
+			t.Fatalf("class %d: %d of %d lane buffers were not recycled slabs; the poisoned runs proved nothing",
+				c.Size, c.Gets-c.Hits, c.Gets)
+		}
+	}
 	return ref, dec, comp
+}
+
+// poison is what a recycled slab holds before a lane takes it: never zero
+// and never the image.
+const poison = 0xA5
+
+// refillPoison tops every class ring of m up to two poisoned slabs, one for
+// the next lane's bank window and one for its output buffer.
+func refillPoison(m *memsys.Manager) {
+	for _, c := range m.Stats().Classes {
+		for n := c.Free; n < 2; n++ {
+			m.Put(bytes.Repeat([]byte{poison}, c.Size))
+		}
+	}
 }
 
 func echoProgram() *core.Program {
@@ -270,7 +319,7 @@ func TestDifferentialTraps(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			img := layout(t, tc.build(t))
-			ref, _, _ := diffRunBudget(t, img, tc.input, tc.setup, tc.budget)
+			ref, _, _ := diffRunBanks(t, img, 0, tc.input, tc.setup, tc.budget)
 			if ref.err == nil {
 				t.Fatal("reference run succeeded, want a trap")
 			}

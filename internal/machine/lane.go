@@ -12,6 +12,7 @@ import (
 	"udp/internal/effclip"
 	"udp/internal/encode"
 	"udp/internal/fault"
+	"udp/internal/memsys"
 	"udp/internal/obs"
 )
 
@@ -41,9 +42,9 @@ const interruptStride = 4096
 // registers, a stream buffer, a symbol-size register and a window of the
 // multi-bank local memory, executing one EffCLiP image.
 type Lane struct {
-	img     *effclip.Image
-	mem     []byte
-	memInit []byte // load-time snapshot of mem, restored by Reset
+	img  *effclip.Image
+	mem  []byte // bank window: a slab, handed back by Close
+	load []byte // img.LoadWindow(): the load-time window, shared and read-only
 
 	// Predecoded code cache (shared read-only across every lane running
 	// the image). decOn is the user switch (SetDecoded); decOK is the live
@@ -122,8 +123,14 @@ type frontierEntry struct {
 	mode core.DispatchMode
 }
 
-// NewLane loads an image into a fresh lane with the given number of local
-// memory banks (the image's own Banks() if banks is 0).
+// slabs backs every lane's bank window and output buffer: lanes are
+// resident hardware in the paper, so building one draws banks that already
+// exist instead of allocating them per request.
+var slabs = memsys.Default()
+
+// NewLane loads an image into a lane with the given number of local memory
+// banks (the image's own Banks() if banks is 0). The bank window is a slab:
+// Close hands it back once the lane's last result has been copied out.
 func NewLane(img *effclip.Image, banks int) (*Lane, error) {
 	if !img.Executable {
 		return nil, fault.New(fault.TrapBadSignature, img.Name, "image is size-accounting only")
@@ -135,22 +142,21 @@ func NewLane(img *effclip.Image, banks int) (*Lane, error) {
 		return nil, fault.New(fault.TrapMemOutOfWindow, img.Name,
 			"%d banks exceed the %d-bank local memory", banks, core.NumBanks)
 	}
-	l := &Lane{img: img, mem: make([]byte, banks*core.BankBytes)}
-	if need := img.FootprintBytes(); need > len(l.mem) {
+	window := banks * core.BankBytes
+	if need := img.FootprintBytes(); need > window {
 		return nil, fault.New(fault.TrapMemOutOfWindow, img.Name,
 			"footprint (%d B) exceeds %d-bank window", need, banks)
 	}
-	for i, w := range img.Words {
-		binary.LittleEndian.PutUint32(l.mem[i*core.WordBytes:], w)
-	}
 	for off, b := range img.DataInit {
-		if img.DataBase+off+len(b) > len(l.mem) {
+		if at := img.DataBase + off; at < 0 || at+len(b) > window {
 			return nil, fault.New(fault.TrapMemOutOfWindow, img.Name,
-				"data init at %d overflows window", img.DataBase+off)
+				"data init at %d overflows window", at)
 		}
-		copy(l.mem[img.DataBase+off:], b)
 	}
-	l.memInit = append([]byte(nil), l.mem...)
+	l := &Lane{img: img, load: img.LoadWindow(), mem: slabs.Get(window)[:window]}
+	// The whole window is rewritten, so nothing a recycled slab held
+	// survives into this lane.
+	l.restore(0, window)
 	l.dec = img.Decoded()
 	l.SetEngine(EngineAuto)
 	if l.dec != nil {
@@ -201,17 +207,36 @@ func (l *Lane) noteStore(addr, n int) {
 	}
 }
 
+// restore rewrites mem[lo:hi) with its load-time contents.
+func (l *Lane) restore(lo, hi int) {
+	n := 0
+	if lo < len(l.load) {
+		n = copy(l.mem[lo:hi], l.load[lo:])
+	}
+	clear(l.mem[lo+n : hi])
+}
+
+// Close hands the lane's bank window and output buffer back to the slab
+// manager. The lane, and every slice Mem or Output returned, must not be
+// used afterwards; closing twice is harmless.
+func (l *Lane) Close() {
+	slabs.Put(l.mem)
+	slabs.Put(l.out)
+	l.mem, l.out = nil, nil
+}
+
 // Reset returns the lane to its load-time state: registers, stream position,
 // output, counters, and the lane memory window (code, data init and scratch
-// are restored from the load-time snapshot), so a lane can be reused across
-// shards with no state leaking from the prior run. The executor in
-// internal/sched relies on this to time-multiplex shards over a lane pool.
+// are restored from the image's shared load-time window), so a lane can be
+// reused across shards with no state leaking from the prior run. The
+// executor in internal/sched relies on this to time-multiplex shards over a
+// lane pool.
 func (l *Lane) Reset() {
-	// Only the store-dirtied range differs from the snapshot: actions and
-	// WriteMem funnel through noteStore, so restoring [dirtyLo, dirtyHi)
-	// is exact and a read-only shard costs no copy at all.
-	if l.memInit != nil && l.dirtyHi > l.dirtyLo {
-		copy(l.mem[l.dirtyLo:l.dirtyHi], l.memInit[l.dirtyLo:l.dirtyHi])
+	// Only the store-dirtied range differs from the load-time window:
+	// actions and WriteMem funnel through noteStore, so restoring
+	// [dirtyLo, dirtyHi) is exact and a read-only shard costs no copy at all.
+	if l.dirtyHi > l.dirtyLo {
+		l.restore(l.dirtyLo, l.dirtyHi)
 	}
 	l.dirtyLo, l.dirtyHi = len(l.mem), 0
 	l.decOK = l.decOn && l.dec != nil
@@ -327,13 +352,14 @@ func (l *Lane) interrupted() bool {
 }
 
 // SetInput attaches the input stream, reusing the lane's BitStream so the
-// per-shard steady state allocates nothing. The output buffer is pre-grown
-// to the input size: stream kernels emit roughly one byte per input byte,
+// per-shard steady state allocates nothing. The output buffer is a slab
+// sized to the input: stream kernels emit roughly one byte per input byte,
 // and one up-front reservation replaces the append-doubling ladder a fresh
 // lane would otherwise climb on its first shard.
 func (l *Lane) SetInput(data []byte) {
 	if cap(l.out) < len(data) {
-		l.out = make([]byte, 0, len(data))
+		slabs.Put(l.out)
+		l.out = slabs.Get(len(data))
 	}
 	if l.stream == nil {
 		l.stream = NewBitStream(data)

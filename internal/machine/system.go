@@ -86,6 +86,7 @@ func RunParallel(img *effclip.Image, shards [][]byte, setup LaneSetup) (*RunResu
 				errs[i] = err
 				return
 			}
+			defer lane.Close()
 			lane.SetInput(shard)
 			if setup != nil {
 				if err := setup(lane, i); err != nil {
@@ -118,7 +119,8 @@ func RunParallel(img *effclip.Image, shards [][]byte, setup LaneSetup) (*RunResu
 	return res, nil
 }
 
-// RunSingle runs one lane over input and returns it for inspection.
+// RunSingle runs one lane over input and returns it for inspection; the
+// caller may Close it once done with its output and memory.
 func RunSingle(img *effclip.Image, input []byte) (*Lane, error) {
 	lane, err := NewLane(img, 0)
 	if err != nil {
@@ -126,6 +128,7 @@ func RunSingle(img *effclip.Image, input []byte) (*Lane, error) {
 	}
 	lane.SetInput(input)
 	if err := lane.Run(0); err != nil {
+		lane.Close()
 		return nil, err
 	}
 	return lane, nil

@@ -409,6 +409,11 @@ func Run(ctx context.Context, img *effclip.Image, src Source, cfg Config) (*Resu
 	go s.produce()
 	s.wg.Wait()
 
+	// Outputs still parked when a run dies early were never delivered.
+	for _, p := range s.pending {
+		mem.Put(p.out)
+	}
+
 	if s.runErr != nil {
 		return nil, s.runErr
 	}
@@ -521,11 +526,12 @@ func (s *runState) drainSink() {
 		if p.out == nil { // failed shard under CollectErrors
 			continue
 		}
-		if err := s.cfg.Sink(s.sinkNext-1, p.out); err != nil {
+		err := s.cfg.Sink(s.sinkNext-1, p.out)
+		mem.Put(p.out)
+		if err != nil {
 			s.fail(fmt.Errorf("sched: sink: %w", err))
 			return
 		}
-		mem.Put(p.out)
 	}
 }
 
@@ -593,13 +599,21 @@ func (s *runState) produce() {
 	}
 }
 
-// worker is one lane of the pool: it owns a single lane and resets it
-// between shards. The lane is created lazily so a panic quarantine
-// (lane = nil) transparently replaces it on the next shard.
+// worker is one lane of the pool: it owns a single lane, resets it between
+// shards and closes it on exit — before wg.Done, so every lane's slabs are
+// back with the manager when Run returns. The lane is created lazily so a
+// panic quarantine (lane = nil) transparently replaces it on the next
+// shard; the quarantined lane is left to the GC, so nothing a panicked lane
+// touched is ever reused.
 func (s *runState) worker(w int) {
 	defer s.wg.Done()
 	cfg := &s.cfg
 	var lane *machine.Lane
+	defer func() {
+		if lane != nil {
+			lane.Close()
+		}
+	}()
 	// One reusable histogram per worker: attached to the lane for
 	// sampled shards, merged into the shared aggregate on exit.
 	var lp *obs.LaneProfile

@@ -119,13 +119,12 @@ func Records(r io.Reader, chunkBytes int, sep byte) Source {
 }
 
 type recordSource struct {
-	r       io.Reader
-	chunk   int
-	sep     byte
-	rest    []byte // carry-over past the last emitted separator
-	scratch []byte // reused read buffer (contents copied into rest)
-	done    bool
-	pool    bufPool
+	r     io.Reader
+	chunk int
+	sep   byte
+	rest  []byte // pooled: bytes read past the last emitted separator
+	done  bool
+	pool  bufPool
 }
 
 // Recycle accepts a finished shard buffer back into the pool.
@@ -146,21 +145,26 @@ func (s *recordSource) Next() ([]byte, error) {
 			}
 		}
 		if s.done {
-			if len(s.rest) == 0 {
-				return nil, io.EOF
-			}
 			shard := s.rest
 			s.rest = nil
+			if len(shard) == 0 {
+				s.pool.put(shard)
+				return nil, io.EOF
+			}
 			return shard, nil
 		}
-		if s.scratch == nil {
-			s.scratch = make([]byte, s.chunk)
-		}
-		n, err := s.r.Read(s.scratch)
-		if s.rest == nil {
+		// Read straight into rest's spare capacity; a full buffer (a record
+		// running past the chunk target) grows through the pool.
+		switch {
+		case s.rest == nil:
 			s.rest = s.pool.get(s.chunk)
+		case len(s.rest) == cap(s.rest):
+			grown := append(s.pool.get(2*cap(s.rest)), s.rest...)
+			s.pool.put(s.rest)
+			s.rest = grown
 		}
-		s.rest = append(s.rest, s.scratch[:n]...)
+		n, err := s.r.Read(s.rest[len(s.rest):cap(s.rest)])
+		s.rest = s.rest[:len(s.rest)+n]
 		if err == io.EOF {
 			s.done = true
 			continue

@@ -86,3 +86,44 @@ func BenchmarkServerRequestAllocsGzip(b *testing.B) {
 	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N), "allocs/req")
 	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(b.N), "B/req")
 }
+
+// TestServerSmallRequestByteBudget gates the heap bytes a warm 4 KiB
+// request costs end to end (client, net/http, handler, executor, lane). The
+// allocs/req count above cannot see this: when lanes allocated their own
+// bank windows and the chunker its own scratch, two objects in two hundred
+// were 97 of 128 KiB — about 127 KiB/request here. With every bank-sized
+// buffer drawn from the slab manager a request costs about 27 KiB, nearly
+// all of it net/http's and the client's.
+func TestServerSmallRequestByteBudget(t *testing.T) {
+	const budget = 48 << 10
+	data := etl.LineitemCSV(64, 20170101)
+	data = data[:bytes.LastIndexByte(data[:4<<10], '\n')+1]
+
+	srv := New(Options{MaxInflight: 4})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	cli := client.New(ts.URL, ts.Client())
+	request := func() {
+		out, err := cli.TransformBytes(context.Background(), "csvpipe", data)
+		if err != nil || len(out) == 0 {
+			t.Fatalf("%d bytes back, err %v", len(out), err)
+		}
+	}
+	for i := 0; i < 20; i++ { // compile, load-time window, slab rings, connection
+		request()
+	}
+
+	const n = 200
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < n; i++ {
+		request()
+	}
+	runtime.ReadMemStats(&m1)
+	perReq := float64(m1.TotalAlloc-m0.TotalAlloc) / n
+	t.Logf("%.0f B/req, %.1f allocs/req for a %d-byte body", perReq, float64(m1.Mallocs-m0.Mallocs)/n, len(data))
+	if perReq > budget {
+		t.Fatalf("%.0f B/req for a %d-byte csvpipe body, budget %d: a bank-sized buffer is back on the per-request heap",
+			perReq, len(data), budget)
+	}
+}

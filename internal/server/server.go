@@ -877,6 +877,12 @@ type frameWriter struct {
 // commit sends the 200 and the stream headers; stats arrive as HTTP
 // trailers once the run finishes (chunked encoding carries them).
 func (fw *frameWriter) commit() {
+	// Frames go out while the executor is still reading the body. Without
+	// full duplex net/http discards the unread body (up to 256 KiB) on the
+	// first write of a keep-alive connection and the chunker sees an
+	// unexpected EOF. HTTP/2 and test recorders report ErrNotSupported:
+	// they have no such restriction.
+	_ = http.NewResponseController(fw.w).EnableFullDuplex()
 	fw.w.Header().Set("Content-Type", "application/octet-stream")
 	fw.w.Header().Set("X-Udp-Program", fw.progID)
 	trailers := "X-Udp-Shards, X-Udp-Input-Bytes, X-Udp-Cycles, X-Udp-Engine"

@@ -263,7 +263,8 @@ func Compile(p *Program, opts ...CompileOption) (*Image, error) {
 }
 
 // NewLane loads an image into a fresh lane (banks = 0 uses the image's own
-// footprint).
+// footprint). Close the lane when done with it to hand its memory back for
+// reuse.
 func NewLane(im *Image, banks int) (*Lane, error) {
 	return machine.NewLane(im, banks)
 }
@@ -447,7 +448,9 @@ func applyExecOpts(opts []ExecOption) execOpts {
 // RunLane executes an image over input on one fresh lane and returns the
 // lane for inspection (output, matches, stats, memory) — the debugging
 // counterpart of Exec. It is equivalent to NewLane + SetInput + Run with
-// the default engine.
+// the default engine. The caller may Close the lane once done inspecting it,
+// which hands its memory back for reuse; an unclosed lane is simply
+// collected.
 func RunLane(im *Image, input []byte) (*Lane, error) {
 	if im == nil {
 		return nil, ErrNilImage
