@@ -38,10 +38,12 @@ race:
 	$(GO) test -race ./internal/load ./internal/machine ./internal/memsys ./internal/sched ./internal/server ./internal/kernels/... .
 
 # Short fuzz passes over the hostile-input surfaces: the fault-injection
-# spec parser and the record chunker.
+# spec parser and the record chunker; and over the compiled tier's
+# run-skipping against the memory interpreter.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParseInjectSpec -fuzztime=10s ./internal/fault
 	$(GO) test -run=NONE -fuzz=FuzzRecords -fuzztime=10s ./internal/sched
+	$(GO) test -run=NONE -fuzz=FuzzCompiledRuns -fuzztime=10s ./internal/machine
 
 # The CI gate: tier-1 (build + test) plus gofmt, vet, the race detector
 # over the whole module, the fuzz smoke, and the udpserved smoke test.

@@ -15,7 +15,11 @@
 //     bytes, probe and hop counts), the stream cursor, the livelock
 //     watermark and the machine position (base, signature, mode) live in
 //     locals, synced to the lane only at observation boundaries: traps,
-//     slow chains, interpreter hand-offs and run exit.
+//     slow chains, interpreter hand-offs and run exit;
+//   - runs of dispatches that change neither the state nor the cost per
+//     symbol — stay runs and action-free common-mode chains, found at
+//     lowering (internal/compile/runs.go) — are taken in one step that
+//     charges and traces exactly what the single dispatches would.
 //
 // Everything observable is bit-identical with the reference interpreter:
 // the same per-dispatch budget, livelock and interrupt checks, the same
@@ -157,15 +161,26 @@ func (l *Lane) runCompiled(maxCycles uint64) error {
 					l.syncCompiled(cycles, dispatches, actions, streamBits, outBytes, fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN, pos, out, base, baseSig, mode, &lring)
 					return nil // input consumed
 				}
-				stream.pos = pos
-				sym = stream.Take(ss)
-				pos = stream.pos
+				if skip := uint8(pos & 7); skip+ss <= 8 && ss != 0 {
+					// A sub-byte symbol inside one byte (histogram nibbles;
+					// a zero-width read may sit at the very end). This is
+					// peekBits' fast path written out: peekBits is over the
+					// inlining budget, and the call costs ≈7 % of
+					// BenchmarkLaneCompiled/histogram16e.
+					sym = uint32(data[pos>>3]>>(8-skip-ss)) & (1<<ss - 1)
+				} else {
+					sym = peekWide(data, pos, ss)
+				}
+				pos += int64(ss)
 			}
 			streamBits += uint64(ss)
 		default: // core.ModeFlagged
 			sym = regs[core.R0]
 		}
 
+		// last is the slot the dispatch below ends on when it resolves
+		// through the compiled tables (nil otherwise).
+		var last *compile.Slot
 	dispatch:
 		for hop := 0; ; hop++ {
 			if hop > 256 {
@@ -433,6 +448,7 @@ func (l *Lane) runCompiled(maxCycles uint64) error {
 			baseSig = cs.NextSig
 			mode = cs.NextMode
 			if cs.Kind != core.KindDefault {
+				last = cs
 				break dispatch
 			}
 			// Default: re-dispatch the same symbol at the target state.
@@ -445,7 +461,157 @@ func (l *Lane) runCompiled(maxCycles uint64) error {
 				break dispatch
 			}
 		}
+
+		// Run-skipping: the dispatches that would follow without changing
+		// the state or the per-symbol cost are taken in one step of n
+		// dispatches, each charging c cycles, cost actions, probe fallback
+		// probes and e output bytes. The first of them must advance the
+		// progress watermark (each one after it then does too), runLimit
+		// keeps every loop-top check that could fire out of the step, and a
+		// slow chain that just stored into the code window (decOK false)
+		// leaves the tables stale. A halted dispatch ends the run here.
+		if p := uint64(pos) + outBytes + memRefs; p > progressMark && decOK && !halted {
+			var n, c, cost, probe, e uint64
+			if (last == nil || last.Stay == 0) && mode == core.ModeStream && uint(base-1) < uint(len(slots)) &&
+				slots[base-1].Flags&compile.FlagProbe != 0 {
+				// The dispatch landed in a state whose majority word is a
+				// stay slot (FlagProbe marks it only for the state right
+				// after it).
+				last = &slots[base-1]
+			}
+			if last != nil && last.Stay != 0 && ss == 8 && pos&7 == 0 {
+				// A stay run: the following bytes in the stay set (the
+				// first tested here, so a run that ends at once costs one
+				// lookup).
+				from, set := int(pos>>3), &cp.Stays[last.Stay-1]
+				c, cost = 1+uint64(last.Cost), uint64(last.Cost)
+				if last.Flags&compile.FlagProbe != 0 {
+					c, probe = c+1, 1
+				}
+				if from < len(data) && set.Has(data[from]) {
+					n = uint64(stayRun(data[from:], set, runLimit(len(data)-from, cycles, maxCycles, c, stopCheck, l.stop != nil)))
+				}
+				if n > 0 {
+					run := data[from : from+int(n)]
+					switch last.Spec {
+					case compile.SpecOut8:
+						if last.A == uint8(core.RSym) {
+							out = append(out, run...)
+						} else {
+							out = appendRepeat(out, byte(regs[last.A&0xF]), len(run))
+						}
+						e = 1
+					case compile.SpecOutI:
+						out = appendRepeat(out, byte(last.Imm), len(run))
+						e = 1
+					}
+					traceStay(&lring, ringN, cycles, c, base, run)
+				}
+			} else if mode == core.ModeCommon && ss != 0 && uint(base) < uint(len(slots)) && slots[base].Hops != 0 {
+				// A common chain: action-free hops of ss bits each, never
+				// past the last whole symbol. Zero-width symbols make no
+				// progress, so their hops stay on the livelock count.
+				k := int(slots[base].Hops)
+				c = 1
+				if end := int64(len(data)) * 8; pos+int64(k)*int64(ss) > end {
+					k = int((end - pos) / int64(ss))
+				}
+				if n = uint64(runLimit(k, cycles, maxCycles, c, stopCheck, l.stop != nil)); n > 0 {
+					cs := walkChain(slots, base, int(n), data, pos, ss, cycles, &lring, ringN)
+					base, baseSig, mode = int(cs.NextBase), cs.NextSig, cs.NextMode
+				}
+			}
+			if n > 0 {
+				regs[core.RSym] = lring[(ringN+n-1)%fault.TraceTail].Sym
+				cycles += n * c
+				dispatches += n
+				actions += n * cost
+				fallbackProbes += n * probe
+				streamBits += n * uint64(ss)
+				outBytes += n * e
+				pos += int64(n) * int64(ss)
+				progressMark, stall = p+(n-1)*(uint64(ss)+e), 0
+				ringN += n
+				if l.stop != nil {
+					stopCheck += n
+				}
+			}
+		}
 	}
 	l.syncCompiled(cycles, dispatches, actions, streamBits, outBytes, fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN, pos, out, base, baseSig, mode, &lring)
 	return nil
+}
+
+// runLimit caps a step of want dispatches of c cycles each so that every
+// one of them would pass the loop-top cycle-budget check and, with a stop
+// flag bound, stop short of the next interruptStride poll: the budget trap
+// and ErrInterrupted then fire at the same cycle as without run-skipping.
+func runLimit(want int, cycles, maxCycles, c, stopCheck uint64, polled bool) int {
+	if want <= 0 {
+		return 0
+	}
+	n := uint64(want)
+	if cycles+(n-1)*c >= maxCycles {
+		if cycles >= maxCycles {
+			return 0
+		}
+		n = (maxCycles-cycles-1)/c + 1
+	}
+	if polled {
+		n = min(n, interruptStride-1-stopCheck%interruptStride)
+	}
+	return int(n)
+}
+
+// stayRun returns the length of the longest prefix of data[:limit] whose
+// bytes are all in set.
+func stayRun(data []byte, set *compile.StaySet, limit int) int {
+	data = data[:limit]
+	if set.Full() {
+		return limit
+	}
+	for i, b := range data {
+		if !set.Has(b) {
+			return i
+		}
+	}
+	return limit
+}
+
+// appendRepeat appends n copies of b to out.
+func appendRepeat(out []byte, b byte, n int) []byte {
+	at := len(out)
+	out = append(out, make([]byte, n)...)
+	for i := at; i < len(out); i++ {
+		out[i] = b
+	}
+	return out
+}
+
+// traceStay writes the trace-ring entries of the last TraceTail dispatches
+// of a stay run over run at base, the first starting at cycles and each
+// charging c cycles.
+func traceStay(ring *[fault.TraceTail]fault.TraceEntry, ringN, cycles, c uint64, base int, run []byte) {
+	for j := max(0, len(run)-fault.TraceTail); j < len(run); j++ {
+		ring[(ringN+uint64(j))%fault.TraceTail] = fault.TraceEntry{
+			Cycle: cycles + uint64(j)*c + 1, Base: base, Sym: uint32(run[j])}
+	}
+}
+
+// walkChain follows n hops of the common chain starting at base, reading
+// ss-bit symbols from bit pos on, writes the trace-ring entries of the last
+// TraceTail hops (the first hop starting at cycles), and returns the word
+// of the last hop.
+func walkChain(slots []compile.Slot, base, n int, data []byte, pos int64, ss uint8,
+	cycles uint64, ring *[fault.TraceTail]fault.TraceEntry, ringN uint64) *compile.Slot {
+	var cs *compile.Slot
+	for j := 0; j < n; j++ {
+		if j >= n-fault.TraceTail {
+			ring[(ringN+uint64(j))%fault.TraceTail] = fault.TraceEntry{
+				Cycle: cycles + uint64(j) + 1, Base: base, Sym: peekBits(data, pos+int64(j)*int64(ss), ss)}
+		}
+		cs = &slots[base]
+		base = int(cs.NextBase)
+	}
+	return cs
 }

@@ -3,7 +3,8 @@
 // semantics), on the predecoded cache (EngineDecoded), and on the compiled
 // tier (EngineCompiled) — and everything observable must match bit for bit:
 // output bytes, exit code, accept matches, the full counter set, the final
-// memory image, and any trap (including the trap's cycle). The suite covers
+// memory image and register file, and any trap (including the trap's cycle
+// and its dispatch-trace tail). The suite covers
 // the builtin server kernels (echo, csvparse, csvpipe, jsonparse, xmlparse,
 // histogram16), a memory-counter histogram, every dispatch kind (labeled,
 // majority, default, refill, common, flagged, epsilon/NFA), runtime traps
@@ -16,11 +17,13 @@ package machine_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"udp/internal/core"
 	"udp/internal/effclip"
 	"udp/internal/encode"
+	"udp/internal/fault"
 	"udp/internal/kernels/csvparse"
 	"udp/internal/kernels/histogram"
 	"udp/internal/kernels/jsonparse"
@@ -47,6 +50,7 @@ type runOut struct {
 	stats   machine.Stats
 	matches []machine.Match
 	mem     []byte
+	regs    [core.NumRegs]uint32
 	err     error
 	// engine is the tier the run actually executed on (EngineInUse), so
 	// cases can assert both that a tier was really exercised and that
@@ -66,12 +70,17 @@ func runBanks(t *testing.T, img *effclip.Image, banks int, input []byte, setup f
 		setup(lane)
 	}
 	runErr := lane.Run(budget)
+	var regs [core.NumRegs]uint32
+	for r := range regs {
+		regs[r] = lane.Reg(core.Reg(r))
+	}
 	return runOut{
 		out:     append([]byte(nil), lane.Output()...),
 		exit:    lane.Exit(),
 		stats:   lane.Stats(),
 		matches: append([]machine.Match(nil), lane.Matches()...),
 		mem:     append([]byte(nil), lane.Mem()...),
+		regs:    regs,
 		err:     runErr,
 		engine:  lane.EngineInUse(),
 	}
@@ -90,6 +99,21 @@ func diffAgainst(t *testing.T, name string, ref, got runOut) {
 	}
 	if refErr != gotErr {
 		t.Fatalf("error diverged:\n  memory:  %v\n  %s: %v", ref.err, name, got.err)
+	}
+	// The message does not render the trap's dispatch-trace tail.
+	var refTrap, gotTrap *fault.Trap
+	if errors.As(ref.err, &refTrap) != errors.As(got.err, &gotTrap) {
+		t.Fatalf("trap diverged:\n  memory:  %#v\n  %s: %#v", ref.err, name, got.err)
+	}
+	if refTrap != nil {
+		if len(refTrap.Trace) != len(gotTrap.Trace) {
+			t.Fatalf("trap trace length diverged: memory %d, %s %d", len(refTrap.Trace), name, len(gotTrap.Trace))
+		}
+		for i := range refTrap.Trace {
+			if refTrap.Trace[i] != gotTrap.Trace[i] {
+				t.Fatalf("trap trace entry %d diverged:\n  memory:  %+v\n  %s: %+v", i, refTrap.Trace, name, gotTrap.Trace)
+			}
+		}
 	}
 	if !bytes.Equal(ref.out, got.out) {
 		t.Fatalf("output diverged: memory %d bytes, %s %d bytes\nmemory: %.80q\n%s: %.80q",
@@ -111,6 +135,9 @@ func diffAgainst(t *testing.T, name string, ref, got runOut) {
 	}
 	if !bytes.Equal(ref.mem, got.mem) {
 		t.Fatalf("final memory image diverged (%s)", name)
+	}
+	if ref.regs != got.regs {
+		t.Fatalf("final registers diverged:\n  memory:  %v\n  %s: %v", ref.regs, name, got.regs)
 	}
 }
 
@@ -315,6 +342,16 @@ func TestDifferentialTraps(t *testing.T) {
 			s.Majority(s, core.Action{Op: core.OpPutBack, Imm: 8})
 			return p
 		}, []byte("a"), func(l *machine.Lane) { l.SetLivelockWindow(256) }, 0},
+		// A zero-width entry symbol size (every state declares its own
+		// width; the program declares none): each dispatch reads 0 bits,
+		// including at the end of the input.
+		{"zero-symbol-bits", func(t *testing.T) *core.Program {
+			p := core.NewProgram("ss0", 0)
+			s := p.AddState("s", core.ModeStream)
+			s.SymbolBits = 8
+			s.Majority(s)
+			return p
+		}, nil, func(l *machine.Lane) { l.SetLivelockWindow(64) }, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -565,40 +602,65 @@ func TestCompiledZeroAlloc(t *testing.T) {
 	}
 }
 
-// benchLane measures the per-lane interpreter over the csvparse kernel, the
-// most action-heavy builtin. Run with -benchmem: the steady state must
-// report 0 allocs/op on every tier.
+// laneShapes are the automaton shapes the lane benchmarks sweep: a
+// field-body CSV parser, a one-state echo, a JSON tokenizer, and the 4-bit
+// histogram trie with its common-mode skip chains.
+func laneShapes(b *testing.B) []struct {
+	name  string
+	prog  *core.Program
+	input []byte
+} {
+	hist, err := histogram.BuildProgramEmit(histogram.UniformEdges(16, 0, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return []struct {
+		name  string
+		prog  *core.Program
+		input []byte
+	}{
+		{"csvparse", csvparse.BuildProgram(), workload.CrimesCSV(workload.CSVSpec{Name: "crimes", Rows: 500, Seed: 3})},
+		{"echo", echoProgram(), workload.Text(workload.TextEnglish, 64<<10, 3)},
+		{"jsonparse", jsonparse.BuildProgram(), workload.JSONRecords(300, 3)},
+		{"histogram16e", hist, histogram.KeyBytes(workload.FloatColumn(8192, workload.DistUniform, 0, 1, 3))},
+	}
+}
+
+// benchLane measures one tier over every lane shape. Run with -benchmem:
+// the steady state must report 0 allocs/op on every tier.
 func benchLane(b *testing.B, engine machine.Engine) {
-	prog := csvparse.BuildProgram()
-	img, err := effclip.Layout(prog, effclip.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	input := workload.CrimesCSV(workload.CSVSpec{Name: "crimes", Rows: 500, Seed: 3})
-	lane, err := machine.NewLane(img, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lane.SetEngine(engine)
-	// Warm the output buffer so b.N=1 runs do not report the one-time
-	// capacity growth.
-	lane.Reset()
-	lane.SetInput(input)
-	if err := lane.Run(0); err != nil {
-		b.Fatal(err)
-	}
-	if got := lane.EngineInUse(); got != engine {
-		b.Fatalf("engine in use %v, want %v", got, engine)
-	}
-	b.SetBytes(int64(len(input)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lane.Reset()
-		lane.SetInput(input)
-		if err := lane.Run(0); err != nil {
-			b.Fatal(err)
-		}
+	for _, sh := range laneShapes(b) {
+		b.Run(sh.name, func(b *testing.B) {
+			img, err := effclip.Layout(sh.prog, effclip.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			lane, err := machine.NewLane(img, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			lane.SetEngine(engine)
+			// Warm the output buffer so b.N=1 runs do not report the
+			// one-time capacity growth.
+			lane.Reset()
+			lane.SetInput(sh.input)
+			if err := lane.Run(0); err != nil {
+				b.Fatal(err)
+			}
+			if got := lane.EngineInUse(); got != engine {
+				b.Fatalf("engine in use %v, want %v", got, engine)
+			}
+			b.SetBytes(int64(len(sh.input)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lane.Reset()
+				lane.SetInput(sh.input)
+				if err := lane.Run(0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -49,18 +49,34 @@ func (b *BitStream) SeekBit(pos int64) {
 // low bits of the result. The caller must check Has first; Take returns what
 // remains zero-padded otherwise.
 func (b *BitStream) Take(n uint8) uint32 {
-	var v uint32
-	for i := uint8(0); i < n; i++ {
-		byteIdx := b.pos >> 3
-		if byteIdx >= int64(len(b.data)) {
-			v <<= 1
-		} else {
-			bit := b.data[byteIdx] >> (7 - uint(b.pos&7)) & 1
-			v = v<<1 | uint32(bit)
-		}
-		b.pos++
-	}
+	v := peekBits(b.data, b.pos, n)
+	b.pos += int64(n)
 	return v
+}
+
+// peekBits returns the n bits (n <= 32) of data starting at bit pos, MSB
+// first, in the low bits of the result; bits past the end read as zero.
+func peekBits(data []byte, pos int64, n uint8) uint32 {
+	if i, skip := pos>>3, uint8(pos&7); skip+n <= 8 && uint64(i) < uint64(len(data)) {
+		return uint32(data[i]>>(8-skip-n)) & (1<<n - 1)
+	}
+	return peekWide(data, pos, n)
+}
+
+// peekWide is peekBits for reads that cross a byte boundary or the end of
+// data: it assembles them from at most five byte loads (pos&7 + 32 bits
+// span five bytes).
+func peekWide(data []byte, pos int64, n uint8) uint32 {
+	i, skip := pos>>3, uint(pos&7)
+	nb := int64(skip+uint(n)+7) >> 3
+	var w uint64
+	for k := i; k < i+nb; k++ {
+		w <<= 8
+		if k < int64(len(data)) {
+			w |= uint64(data[k])
+		}
+	}
+	return uint32(w >> (uint(nb)*8 - skip - uint(n)) & (1<<n - 1))
 }
 
 // TakeByteFast consumes one aligned byte when possible, else falls back to
