@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-json bench-compare fmt-check smoke soak-short soak fuzz-smoke race check examples reproduce reproduce-paper clean
+.PHONY: all build test bench fmt-check smoke soak-short soak fuzz-smoke race check examples reproduce reproduce-paper clean
 
 all: build test
 
@@ -55,18 +55,10 @@ check: fmt-check
 	$(MAKE) fuzz-smoke
 	$(GO) run ./scripts/smoke
 
+# The repository benchmark (benchmark/README.md): four byte-verified
+# workloads, end-to-end and per-layer metrics, results.json.
 bench:
-	$(GO) test -bench=. -benchmem .
-
-# Machine-readable throughput/latency reports for the bench trajectory.
-bench-json:
-	$(GO) run ./cmd/udpbench -bench exec,server
-
-# Per-kernel throughput deltas between two reports, e.g.
-#   make bench-compare OLD=BENCH_exec.json NEW=/tmp/BENCH_exec.json
-bench-compare:
-	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-compare OLD=<report.json> NEW=<report.json>"; exit 2; }
-	$(GO) run ./cmd/udpbench -compare $(OLD) $(NEW)
+	$(GO) run ./benchmark
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -1,5 +1,6 @@
-// Command udpbench regenerates the paper's tables and figures, and runs the
-// machine-readable throughput/latency benchmarks.
+// Command udpbench regenerates the paper's tables and figures, and prints
+// the builtin kernels' automaton state profiles. Host throughput is measured
+// by the repository benchmark, go run ./benchmark.
 //
 // Usage:
 //
@@ -7,9 +8,6 @@
 //	udpbench -exp fig21,fig22     # several
 //	udpbench -exp all -scale 4    # everything, larger datasets
 //	udpbench -list                 # show experiment ids
-//	udpbench -bench exec,server    # write BENCH_exec.json / BENCH_server.json
-//	udpbench -bench server -concurrency 8 -passes 16 -benchdir docs
-//	udpbench -compare BENCH_exec.json BENCH_exec.new.json
 //	udpbench -stateprofile         # automaton state profiles per kernel
 package main
 
@@ -19,11 +17,8 @@ import (
 	"io"
 	"log/slog"
 	"os"
-	"path/filepath"
 	"strings"
 
-	"udp"
-	"udp/internal/bench"
 	"udp/internal/experiments"
 	"udp/internal/memsys"
 	"udp/internal/obs"
@@ -35,15 +30,6 @@ func main() {
 	seed := flag.Int64("seed", 20170101, "generator seed")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	outPath := flag.String("o", "", "also write the tables to this file")
-	benchSel := flag.String("bench", "", "benchmark(s) to run instead of experiments: exec, server, or exec,server")
-	benchDir := flag.String("benchdir", ".", "directory for BENCH_<name>.json reports")
-	concurrency := flag.Int("concurrency", 4, "server bench: concurrent load clients")
-	passes := flag.Int("passes", 8, "server bench: requests per client")
-	reqBytes := flag.Int("req-bytes", 0,
-		"server bench: per-request body bytes, cut on a record boundary (0 = the full scale-sized corpus per request)")
-	engineName := flag.String("engine", "auto",
-		"exec bench: execution engine (auto measures the kernel suite on every tier; interp, decoded or compiled restricts it)")
-	compare := flag.Bool("compare", false, "diff two BENCH_*.json reports: udpbench -compare OLD NEW")
 	stateprofile := flag.Bool("stateprofile", false,
 		"run every builtin kernel with the automaton profiler and print each state flame profile")
 	top := flag.Int("top", 10, "stateprofile: hot-state and action rows per kernel")
@@ -62,32 +48,7 @@ func main() {
 	slog.SetDefault(logger)
 
 	if *stateprofile {
-		if err := bench.StateProfile(*scale, *seed, *top, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "udpbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "udpbench: -compare wants exactly two report paths (old new)")
-			os.Exit(2)
-		}
-		if err := bench.Compare(flag.Arg(0), flag.Arg(1), os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "udpbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *benchSel != "" {
-		engine, err := udp.ParseEngine(*engineName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "udpbench:", err)
-			os.Exit(2)
-		}
-		if err := runBenches(*benchSel, *benchDir, *scale, *concurrency, *passes, *reqBytes, *seed, engine); err != nil {
+		if err := stateProfile(*scale, *seed, *top, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "udpbench:", err)
 			os.Exit(1)
 		}
@@ -130,33 +91,4 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// runBenches executes the selected benchmarks and writes one
-// BENCH_<name>.json per selection into dir.
-func runBenches(sel, dir string, scale, concurrency, passes, reqBytes int, seed int64, engine udp.Engine) error {
-	for _, name := range strings.Split(sel, ",") {
-		var (
-			r   *bench.Report
-			err error
-		)
-		switch strings.TrimSpace(name) {
-		case "exec":
-			r, err = bench.Exec(scale, seed, engine)
-		case "server":
-			r, err = bench.Server(scale, concurrency, passes, reqBytes, seed)
-		default:
-			return fmt.Errorf("unknown bench %q (want exec or server)", name)
-		}
-		if err != nil {
-			return fmt.Errorf("%s bench: %w", name, err)
-		}
-		path := filepath.Join(dir, "BENCH_"+r.Name+".json")
-		if err := bench.WriteJSON(path, r); err != nil {
-			return err
-		}
-		fmt.Println(r.Summary())
-		fmt.Println("wrote", path)
-	}
-	return nil
 }

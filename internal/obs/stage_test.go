@@ -41,9 +41,9 @@ func TestStageClockAccumulates(t *testing.T) {
 	c.Add(StageQueue, 2*time.Millisecond)
 	c.Add(StageQueue, 3*time.Millisecond)
 	c.Add(StageLane, time.Millisecond)
-	c.Add(StageLane, -time.Second)  // negative: dropped
-	c.Add(NumStages, time.Second)   // out of range: dropped
-	c.Add(StageWrite, 0)            // zero: dropped
+	c.Add(StageLane, -time.Second) // negative: dropped
+	c.Add(NumStages, time.Second)  // out of range: dropped
+	c.Add(StageWrite, 0)           // zero: dropped
 
 	if got := c.NS(StageQueue); got != int64(5*time.Millisecond) {
 		t.Fatalf("queue = %d ns, want 5ms", got)

@@ -16,7 +16,7 @@ import (
 // lineitem body through an in-process handler. Run with -benchmem; the
 // "allocs/req" metric is the whole-process Mallocs delta per request (server
 // handler + executor + client), the number the docs/PERF.md baseline table
-// and the BENCH_server.json allocs_per_request field track.
+// tracks.
 func BenchmarkServerRequestAllocs(b *testing.B) {
 	data := etl.LineitemCSV(912, 20170101)
 	if idx := bytes.LastIndexByte(data, '\n'); idx > 0 {
@@ -87,15 +87,16 @@ func BenchmarkServerRequestAllocsGzip(b *testing.B) {
 	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(b.N), "B/req")
 }
 
-// TestServerSmallRequestByteBudget gates the heap bytes a warm 4 KiB
-// request costs end to end (client, net/http, handler, executor, lane). The
-// allocs/req count above cannot see this: when lanes allocated their own
-// bank windows and the chunker its own scratch, two objects in two hundred
-// were 97 of 128 KiB — about 127 KiB/request here. With every bank-sized
-// buffer drawn from the slab manager a request costs about 27 KiB, nearly
-// all of it net/http's and the client's.
+// TestServerSmallRequestByteBudget gates the heap a warm 4 KiB request
+// costs end to end (client, net/http, handler, executor, lane), by bytes and
+// by object count. A count alone cannot see a bank-sized buffer: when lanes
+// allocated their own bank windows and the chunker its own scratch, two
+// objects in two hundred were 97 of 128 KiB — about 127 KiB/request here.
+// With every bank-sized buffer drawn from the slab manager a request costs
+// about 27 KiB in about 182 objects, nearly all of them net/http's and the
+// client's; the count ceiling leaves 10 % over that.
 func TestServerSmallRequestByteBudget(t *testing.T) {
-	const budget = 48 << 10
+	const budget, allocCeiling = 48 << 10, 200
 	data := etl.LineitemCSV(64, 20170101)
 	data = data[:bytes.LastIndexByte(data[:4<<10], '\n')+1]
 
@@ -121,9 +122,13 @@ func TestServerSmallRequestByteBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&m1)
 	perReq := float64(m1.TotalAlloc-m0.TotalAlloc) / n
-	t.Logf("%.0f B/req, %.1f allocs/req for a %d-byte body", perReq, float64(m1.Mallocs-m0.Mallocs)/n, len(data))
+	allocsPerReq := float64(m1.Mallocs-m0.Mallocs) / n
+	t.Logf("%.0f B/req, %.1f allocs/req for a %d-byte body", perReq, allocsPerReq, len(data))
 	if perReq > budget {
 		t.Fatalf("%.0f B/req for a %d-byte csvpipe body, budget %d: a bank-sized buffer is back on the per-request heap",
 			perReq, len(data), budget)
+	}
+	if allocsPerReq > allocCeiling {
+		t.Fatalf("%.1f allocs/req for a %d-byte csvpipe body, ceiling %d", allocsPerReq, len(data), allocCeiling)
 	}
 }
