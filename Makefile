@@ -39,7 +39,7 @@ race:
 
 # Short fuzz passes over the hostile-input surfaces: the fault-injection
 # spec parser and the record chunker; and over the compiled tier's
-# run-skipping against the memory interpreter.
+# byte-step tables against the memory interpreter.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParseInjectSpec -fuzztime=10s ./internal/fault
 	$(GO) test -run=NONE -fuzz=FuzzRecords -fuzztime=10s ./internal/sched

@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"udp"
+	"udp/internal/compile"
 	"udp/internal/core"
 	"udp/internal/kernels/csvparse"
 	"udp/internal/kernels/histogram"
@@ -56,8 +57,10 @@ func echoProgram() *core.Program {
 
 // stateProfile runs every builtin kernel once on the executor with the
 // automaton profiler attached and renders each kernel's state flame profile
-// — ranked hot states, dispatch and action mixes — to w. CI greps the
-// per-kernel summary lines ("kernel csvparse: states=N dispatches=M ...").
+// — ranked hot states, dispatch and action mixes — to w, followed by the
+// coverage of its compiled byte-step table: rows, exit entries and bytes.
+// CI greps the per-kernel summary lines ("kernel csvparse: states=N
+// dispatches=M ...") and the table lines ("table rows=N exits=M bytes=B").
 func stateProfile(scale int, seed int64, top int, w io.Writer) error {
 	if scale < 1 {
 		scale = 1
@@ -80,6 +83,11 @@ func stateProfile(scale int, seed int64, top int, w io.Writer) error {
 			return fmt.Errorf("%s: %w", c.name, err)
 		}
 		prof.Snapshot().Render(w, top)
+		if cp, err := compile.For(im); err == nil && cp.Table != nil {
+			fmt.Fprintf(w, "  table rows=%d exits=%d bytes=%d\n", len(cp.Table.Rows), cp.Table.Exits, cp.Table.Size())
+		} else {
+			fmt.Fprintln(w, "  table none")
+		}
 	}
 	return nil
 }

@@ -24,8 +24,16 @@ func TestStateProfile(t *testing.T) {
 		if i < 0 {
 			t.Fatalf("no summary line for %s:\n%s", kernel, out)
 		}
-		if rest := out[i+len(prefix):]; len(rest) == 0 || rest[0] == '0' {
+		rest := out[i+len(prefix):]
+		if len(rest) == 0 || rest[0] == '0' {
 			t.Fatalf("kernel %s profiled zero states: %q", kernel, out[i:i+60])
+		}
+		// Every builtin lowers to a byte-step table with rows.
+		if j := strings.Index(rest, "kernel "); j >= 0 {
+			rest = rest[:j]
+		}
+		if !strings.Contains(rest, "  table rows=") || strings.Contains(rest, "table rows=0 ") {
+			t.Fatalf("kernel %s: no table rows line in its profile:\n%s", kernel, rest)
 		}
 	}
 	if !strings.Contains(out, "hot states") || !strings.Contains(out, "dispatch mix:") {

@@ -3,7 +3,7 @@
 // executes without per-dispatch re-derivation or per-action function calls.
 //
 // The lowering starts from the predecoded cache (internal/effclip's
-// DecodedSlot arrays and memoized action chains) and goes two steps further:
+// DecodedSlot arrays and memoized action chains) and goes three steps further:
 //
 //   - Next-state resolution is precomputed per slot. The interpreter
 //     recomputes base = cb + target and Sig(base) — a modulo — on every
@@ -17,10 +17,12 @@
 //     dynamic symbol-size changes) is marked slow and runs through the
 //     interpreter's action machinery, so traps, self-modification tracking
 //     and dynamic costs stay bit-identical with the reference semantics.
-//   - Runs are marked (runs.go): stay slots with the set of byte symbols
-//     that keep a ModeStream state where it is at one cost, and the length
-//     of every action-free common-mode chain, so the machine's compiled
-//     loop can take such a run in one step.
+//   - A byte-step table is built (table.go): for every state the tier can
+//     be in and every input byte, the composed effect of the dispatches
+//     that byte drives when all of them are pure — next state, cycles,
+//     actions, fallback probes, output bytes and register writes as
+//     constants of the entry — so the machine's compiled loop can consume
+//     such input with one lookup per byte.
 //
 // Eligibility is conservative: the compiled tier refuses any image whose
 // precomputed next-state tables cannot be built at all — multi-active
@@ -46,11 +48,6 @@ const (
 	// FlagSlow marks a chain that must execute through the interpreter's
 	// action machinery (ChainIdx / ChainAddr, as in the decoded tier).
 	FlagSlow
-	// FlagProbe marks a stay slot whose symbols reach it through the
-	// fallback probe: each costs one more cycle and one FallbackProbes
-	// count. Only the majority word of the state right after it carries it,
-	// so slots[base-1] tells whether state base has a majority stay.
-	FlagProbe
 )
 
 // Single-op chain specializations: the machine's compiled loop executes
@@ -92,9 +89,6 @@ type Slot struct {
 	// Cost is the static cycle-and-action charge of a fused chain (one per
 	// executed micro-op; fused ops never carry dynamic costs).
 	Cost uint16
-	// Hops, on the word of a ModeCommon state, counts the consecutive
-	// action-free common-mode hops that start there (0: none; see runs.go).
-	Hops uint16
 	// Ops is the fused micro-op list (a shared subslice of Program.Ops;
 	// slots sharing a chain share it).
 	Ops []Op
@@ -106,9 +100,6 @@ type Slot struct {
 	// slot does.
 	ChainAddr int32
 	ChainIdx  int32
-	// Stay is 1 + the index in Program.Stays of a stay slot's stay set, 0
-	// for a slot that is not a stay slot (see runs.go).
-	Stay int32
 }
 
 // Op is one fused micro-op: the action's operands pre-masked to the
@@ -130,8 +121,9 @@ type Program struct {
 	// CodeEnd is the byte offset one past the code image (the
 	// self-modification watch boundary, as in the decoded cache).
 	CodeEnd int
-	// Stays holds the stay sets stay slots index (Slot.Stay).
-	Stays []StaySet
+	// Table is the byte-step table (table.go), nil when the image has
+	// none.
+	Table *Table
 	// FusedChains and SlowChains count the chain classification (stats
 	// for tooling; SlowChains > 0 does not affect eligibility).
 	FusedChains, SlowChains int
@@ -247,7 +239,7 @@ func build(im *effclip.Image) (*Program, error) {
 			cs.Flags |= FlagSlow
 		}
 	}
-	analyzeRuns(p, im.EntryBase, im.EntryMode)
+	p.Table = buildTable(p, im.EntryBase, im.EntryMode, im.EntrySymbolBits)
 	return p, nil
 }
 

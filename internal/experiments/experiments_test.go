@@ -133,12 +133,16 @@ func TestKernelFigures(t *testing.T) {
 		// Every kernel row must show a full-UDP win over 8 CPU threads,
 		// with the paper's one exception: the Snappy compression of
 		// incompressible data, where the CPU's skip heuristic wins
-		// (footnote 3; our kennedy row).
+		// (footnote 3; our kennedy row). The speed-up divides the
+		// simulated UDP rate by a host-timed CPU rate, which the race
+		// detector slows several-fold: that only raises the UDP wins, but
+		// it can turn kennedy's CPU win into a loss, so under -race that
+		// one comparison is not made.
 		speedCol := len(tbl.Columns) - 2
 		for i, row := range tbl.Rows {
 			sp := cell(t, tbl, i, speedCol)
 			if id == "fig19" && row[0] == "kennedy" {
-				if sp >= 1 {
+				if sp >= 1 && !raceEnabled {
 					t.Fatalf("fig19 kennedy: skip-heuristic CPU should win, speedup %.1f", sp)
 				}
 				continue

@@ -542,9 +542,12 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		r.deadline = r.start.Add(cfg.Duration)
 	}
 
-	reportDone := make(chan struct{})
+	// reportDone stops the progress goroutine; reportExited tells Run it has
+	// returned, so the final line below never overlaps its last tick.
+	reportDone, reportExited := make(chan struct{}), make(chan struct{})
 	if cfg.ReportEvery > 0 && cfg.ReportTo != nil {
 		go func() {
+			defer close(reportExited)
 			t := time.NewTicker(cfg.ReportEvery)
 			defer t.Stop()
 			for {
@@ -569,6 +572,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	wg.Wait()
 	close(reportDone)
 	if cfg.ReportEvery > 0 && cfg.ReportTo != nil {
+		<-reportExited
 		// Close the live stream with the end state, so short runs that beat
 		// the first tick still show progress.
 		fmt.Fprintln(cfg.ReportTo, r.col.snapshotLine(time.Since(r.start)))

@@ -85,6 +85,61 @@ func TestClosedLoopAgainstServer(t *testing.T) {
 	}
 }
 
+// overlapWriter fails the test when two Write calls overlap or one comes
+// after closed is set. Each call holds the writer for a while, so a
+// progress tick in flight when Run writes its final line is caught without
+// the race detector.
+type overlapWriter struct {
+	t      *testing.T
+	busy   atomic.Bool
+	closed atomic.Bool
+	lines  atomic.Int64
+}
+
+func (w *overlapWriter) Write(p []byte) (int, error) {
+	if w.closed.Load() {
+		w.t.Errorf("progress line written after Run returned: %q", p)
+	}
+	if !w.busy.CompareAndSwap(false, true) {
+		w.t.Errorf("overlapping progress writes: %q", p)
+		return len(p), nil
+	}
+	time.Sleep(2 * time.Millisecond)
+	w.lines.Add(1)
+	w.busy.Store(false)
+	return len(p), nil
+}
+
+// TestRunProgressWritesDoNotOverlap: Run's final progress line waits for the
+// ticker goroutine to exit, so with a tick shorter than a write the two
+// never overlap and nothing is written after Run returns.
+func TestRunProgressWritesDoNotOverlap(t *testing.T) {
+	srv := server.New(server.Options{MaxInflight: 8})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for round := 0; round < 5; round++ {
+		w := &overlapWriter{t: t}
+		if _, err := load.Run(context.Background(), load.Config{
+			Target:      ts.URL,
+			Workers:     2,
+			Requests:    8,
+			Programs:    []load.Mix{{Name: "echo", Weight: 1}},
+			SizeMin:     256,
+			SizeMax:     1024,
+			Seed:        int64(round),
+			ReportEvery: time.Millisecond,
+			ReportTo:    w,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		w.closed.Store(true)
+		if w.lines.Load() == 0 {
+			t.Fatal("no progress line written")
+		}
+		time.Sleep(5 * time.Millisecond) // a stray tick would land here
+	}
+}
+
 // TestLoaderHonorsRetryAfter pins the loader side of the Retry-After
 // contract: a 429 with a hint is retried no sooner than the hint, and the
 // recovered request counts as a success with its backoff on the books.

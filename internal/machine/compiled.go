@@ -16,10 +16,10 @@
 //     watermark and the machine position (base, signature, mode) live in
 //     locals, synced to the lane only at observation boundaries: traps,
 //     slow chains, interpreter hand-offs and run exit;
-//   - runs of dispatches that change neither the state nor the cost per
-//     symbol — stay runs and action-free common-mode chains, found at
-//     lowering (internal/compile/runs.go) — are taken in one step that
-//     charges and traces exactly what the single dispatches would.
+//   - input that drives only pure dispatches — found at lowering and
+//     composed per input byte into the image's byte-step table
+//     (internal/compile/table.go) — is consumed with one table lookup per
+//     byte, charging and tracing exactly what the single dispatches would.
 //
 // Everything observable is bit-identical with the reference interpreter:
 // the same per-dispatch budget, livelock and interrupt checks, the same
@@ -32,6 +32,9 @@
 package machine
 
 import (
+	"encoding/binary"
+	"math/bits"
+
 	"udp/internal/compile"
 	"udp/internal/core"
 	"udp/internal/effclip"
@@ -116,8 +119,58 @@ func (l *Lane) runCompiled(maxCycles uint64) error {
 	halted := l.halted
 	decOK := l.decOK
 	memRefs := l.stats.MemRefs
+	// The byte-step table; tw never matches ss without one.
+	tab := cp.Table
+	var rowOf []uint16
+	tw := uint8(0xFF)
+	if tab != nil {
+		rowOf, tw = tab.RowOf, tab.W
+	}
+	// rows holds the row each of the last TraceTail bytes of a table
+	// segment started on, for traceTable.
+	var rows [fault.TraceTail]uint16
 
 	for !halted {
+		// Byte-step table: from a tabled state at a byte boundary, consume
+		// the bytes whose dispatches are all pure with one lookup each, up
+		// to an exit entry. The segment's first dispatch must advance the
+		// progress watermark (every later one then does too), tableLimit
+		// keeps the budget and stride checks out of it, and a slow chain
+		// that just stored into the code window (decOK false) leaves the
+		// table stale. The loop-top checks below then run for the next
+		// dispatch, as after any other.
+		if ss == tw && pos&7 == 0 && decOK && uint(base) < uint(len(rowOf)) {
+			from := int(pos >> 3)
+			r := int(rowOf[base]) - 1
+			if p := uint64(pos) + outBytes + memRefs; r >= 0 && tab.Rows[r].Mode == mode && p > progressMark &&
+				from < len(data) && !tab.Bytes[r<<8|int(data[from])].IsExit() {
+				n := tableLimit(tab, len(data)-from, cycles, maxCycles, stopCheck, l.stop != nil)
+				var act, prb uint64
+				at := len(out)
+				copied := tab.Rows[r].Copy
+				n, r, act, prb, out = tableRun(tab, r, copied, data[from:from+n], out, regs, &rows)
+				if n > 0 {
+					d := uint64(n) * uint64(tab.K)
+					cycles += d + act + prb
+					dispatches += d
+					actions += act
+					fallbackProbes += prb
+					streamBits += uint64(n) * 8
+					outBytes += uint64(len(out) - at)
+					pos += int64(n) * 8
+					if l.stop != nil {
+						stopCheck += d
+					}
+					sym, lastOut := traceTable(tab, r, copied, &rows, data[from:from+n], cycles, &lring, ringN)
+					ringN += d
+					regs[core.RSym] = sym
+					progressMark, stall = uint64(pos)-uint64(tab.W)+outBytes-uint64(lastOut)+memRefs, 0
+					row := &tab.Rows[r]
+					base, baseSig, mode = int(row.Base), row.Sig, row.Mode
+				}
+			}
+		}
+
 		if cycles >= maxCycles {
 			l.syncCompiled(cycles, dispatches, actions, streamBits, outBytes, fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN, pos, out, base, baseSig, mode, &lring)
 			return l.trapf(fault.TrapCycleBudget, "exceeded %d-cycle budget", maxCycles)
@@ -178,9 +231,6 @@ func (l *Lane) runCompiled(maxCycles uint64) error {
 			sym = regs[core.R0]
 		}
 
-		// last is the slot the dispatch below ends on when it resolves
-		// through the compiled tables (nil otherwise).
-		var last *compile.Slot
 	dispatch:
 		for hop := 0; ; hop++ {
 			if hop > 256 {
@@ -448,7 +498,6 @@ func (l *Lane) runCompiled(maxCycles uint64) error {
 			baseSig = cs.NextSig
 			mode = cs.NextMode
 			if cs.Kind != core.KindDefault {
-				last = cs
 				break dispatch
 			}
 			// Default: re-dispatch the same symbol at the target state.
@@ -461,157 +510,118 @@ func (l *Lane) runCompiled(maxCycles uint64) error {
 				break dispatch
 			}
 		}
-
-		// Run-skipping: the dispatches that would follow without changing
-		// the state or the per-symbol cost are taken in one step of n
-		// dispatches, each charging c cycles, cost actions, probe fallback
-		// probes and e output bytes. The first of them must advance the
-		// progress watermark (each one after it then does too), runLimit
-		// keeps every loop-top check that could fire out of the step, and a
-		// slow chain that just stored into the code window (decOK false)
-		// leaves the tables stale. A halted dispatch ends the run here.
-		if p := uint64(pos) + outBytes + memRefs; p > progressMark && decOK && !halted {
-			var n, c, cost, probe, e uint64
-			if (last == nil || last.Stay == 0) && mode == core.ModeStream && uint(base-1) < uint(len(slots)) &&
-				slots[base-1].Flags&compile.FlagProbe != 0 {
-				// The dispatch landed in a state whose majority word is a
-				// stay slot (FlagProbe marks it only for the state right
-				// after it).
-				last = &slots[base-1]
-			}
-			if last != nil && last.Stay != 0 && ss == 8 && pos&7 == 0 {
-				// A stay run: the following bytes in the stay set (the
-				// first tested here, so a run that ends at once costs one
-				// lookup).
-				from, set := int(pos>>3), &cp.Stays[last.Stay-1]
-				c, cost = 1+uint64(last.Cost), uint64(last.Cost)
-				if last.Flags&compile.FlagProbe != 0 {
-					c, probe = c+1, 1
-				}
-				if from < len(data) && set.Has(data[from]) {
-					n = uint64(stayRun(data[from:], set, runLimit(len(data)-from, cycles, maxCycles, c, stopCheck, l.stop != nil)))
-				}
-				if n > 0 {
-					run := data[from : from+int(n)]
-					switch last.Spec {
-					case compile.SpecOut8:
-						if last.A == uint8(core.RSym) {
-							out = append(out, run...)
-						} else {
-							out = appendRepeat(out, byte(regs[last.A&0xF]), len(run))
-						}
-						e = 1
-					case compile.SpecOutI:
-						out = appendRepeat(out, byte(last.Imm), len(run))
-						e = 1
-					}
-					traceStay(&lring, ringN, cycles, c, base, run)
-				}
-			} else if mode == core.ModeCommon && ss != 0 && uint(base) < uint(len(slots)) && slots[base].Hops != 0 {
-				// A common chain: action-free hops of ss bits each, never
-				// past the last whole symbol. Zero-width symbols make no
-				// progress, so their hops stay on the livelock count.
-				k := int(slots[base].Hops)
-				c = 1
-				if end := int64(len(data)) * 8; pos+int64(k)*int64(ss) > end {
-					k = int((end - pos) / int64(ss))
-				}
-				if n = uint64(runLimit(k, cycles, maxCycles, c, stopCheck, l.stop != nil)); n > 0 {
-					cs := walkChain(slots, base, int(n), data, pos, ss, cycles, &lring, ringN)
-					base, baseSig, mode = int(cs.NextBase), cs.NextSig, cs.NextMode
-				}
-			}
-			if n > 0 {
-				regs[core.RSym] = lring[(ringN+n-1)%fault.TraceTail].Sym
-				cycles += n * c
-				dispatches += n
-				actions += n * cost
-				fallbackProbes += n * probe
-				streamBits += n * uint64(ss)
-				outBytes += n * e
-				pos += int64(n) * int64(ss)
-				progressMark, stall = p+(n-1)*(uint64(ss)+e), 0
-				ringN += n
-				if l.stop != nil {
-					stopCheck += n
-				}
-			}
-		}
 	}
 	l.syncCompiled(cycles, dispatches, actions, streamBits, outBytes, fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN, pos, out, base, baseSig, mode, &lring)
 	return nil
 }
 
-// runLimit caps a step of want dispatches of c cycles each so that every
-// one of them would pass the loop-top cycle-budget check and, with a stop
-// flag bound, stop short of the next interruptStride poll: the budget trap
-// and ErrInterrupted then fire at the same cycle as without run-skipping.
-func runLimit(want int, cycles, maxCycles, c, stopCheck uint64, polled bool) int {
-	if want <= 0 {
+// tableLimit caps a table segment of want bytes so that every dispatch in
+// it would pass the loop-top cycle-budget check and, with a stop flag
+// bound, stop short of the next interruptStride poll: the budget trap and
+// ErrInterrupted then fire at the same cycle as without the table. A
+// segment is also kept under 1<<24 bytes, the most tableRun's charge sum
+// holds.
+func tableLimit(tab *compile.Table, want int, cycles, maxCycles, stopCheck uint64, polled bool) int {
+	if cycles >= maxCycles {
 		return 0
 	}
-	n := uint64(want)
-	if cycles+(n-1)*c >= maxCycles {
-		if cycles >= maxCycles {
-			return 0
-		}
-		n = (maxCycles-cycles-1)/c + 1
+	n := min(uint64(want), 1<<24-1)
+	if rem := maxCycles - cycles; n*tab.MaxCost > rem {
+		n = rem / tab.MaxCost
 	}
 	if polled {
-		n = min(n, interruptStride-1-stopCheck%interruptStride)
+		n = min(n, (interruptStride-1-stopCheck%interruptStride)>>bits.TrailingZeros8(tab.K))
 	}
 	return int(n)
 }
 
-// stayRun returns the length of the longest prefix of data[:limit] whose
-// bytes are all in set.
-func stayRun(data []byte, set *compile.StaySet, limit int) int {
-	data = data[:limit]
-	if set.Full() {
-		return limit
+// tableRun steps tab from row r over data until an exit entry, appending
+// the output to out and applying register writes to regs. copied says r is
+// a copy row, whose bytes are one append. It returns the bytes consumed,
+// the row reached, the actions and fallback probes charged and the output;
+// off the copy path, rows receives the row each of the last TraceTail
+// bytes started on. Output goes two bytes at a time into out's spare
+// capacity, so a segment is cut short rather than growing out.
+func tableRun(tab *compile.Table, r int, copied bool, data, out []byte, regs *[core.NumRegs]uint32,
+	rows *[fault.TraceTail]uint16) (int, int, uint64, uint64, []byte) {
+	steps := tab.Bytes
+	if copied {
+		e, n := steps[r<<8], uint64(len(data))
+		return len(data), r, n * e.Act(), n * e.Prb(), append(out, data...)
 	}
+	if spare := (cap(out) - len(out)) / 2; len(data) > spare {
+		data = data[:spare]
+	}
+	o := out[len(out):cap(out)]
+	var charge compile.Step
+	// last holds, per register, the Movi index of its last write; writes
+	// to the dummy register land in last[NumRegs].
+	var last [32]uint8
+	ro, j := r<<8, 0
 	for i, b := range data {
-		if !set.Has(b) {
-			return i
+		e := steps[ro|int(b)]
+		if e&compile.NextMask == compile.Exit<<8 {
+			data = data[:i]
+			break
+		}
+		rows[uint(i)%fault.TraceTail] = uint16(ro >> 8)
+		binary.LittleEndian.PutUint16(o[j:], e.Out())
+		j += e.N()
+		charge += e & compile.ChargeMask
+		last[tab.Movi[e.Movi()].Reg&31] = e.Movi()
+		ro = int(e & compile.NextMask)
+	}
+	for reg, m := range last[:core.NumRegs] {
+		if m != 0 {
+			regs[reg] = tab.Movi[m].Val
 		}
 	}
-	return limit
+	return len(data), ro >> 8, uint64(uint32(charge)), uint64(charge >> 32), out[:len(out)+j]
 }
 
-// appendRepeat appends n copies of b to out.
-func appendRepeat(out []byte, b byte, n int) []byte {
-	at := len(out)
-	out = append(out, make([]byte, n)...)
-	for i := at; i < len(out); i++ {
-		out[i] = b
-	}
-	return out
-}
-
-// traceStay writes the trace-ring entries of the last TraceTail dispatches
-// of a stay run over run at base, the first starting at cycles and each
-// charging c cycles.
-func traceStay(ring *[fault.TraceTail]fault.TraceEntry, ringN, cycles, c uint64, base int, run []byte) {
-	for j := max(0, len(run)-fault.TraceTail); j < len(run); j++ {
-		ring[(ringN+uint64(j))%fault.TraceTail] = fault.TraceEntry{
-			Cycle: cycles + uint64(j)*c + 1, Base: base, Sym: uint32(run[j])}
-	}
-}
-
-// walkChain follows n hops of the common chain starting at base, reading
-// ss-bit symbols from bit pos on, writes the trace-ring entries of the last
-// TraceTail hops (the first hop starting at cycles), and returns the word
-// of the last hop.
-func walkChain(slots []compile.Slot, base, n int, data []byte, pos int64, ss uint8,
-	cycles uint64, ring *[fault.TraceTail]fault.TraceEntry, ringN uint64) *compile.Slot {
-	var cs *compile.Slot
-	for j := 0; j < n; j++ {
-		if j >= n-fault.TraceTail {
+// traceTable writes the trace-ring entries of the last TraceTail dispatches
+// of a table segment over seg that ended at cycle end on row r. A copied
+// segment stayed on r throughout; otherwise it walks back over the bytes
+// that hold the entries from the rows they started on, re-walking each
+// byte's symbol steps. ringN is the ring count before the segment. It
+// returns the last symbol and the number of bytes the last dispatch
+// emitted.
+func traceTable(tab *compile.Table, r int, copied bool, rows *[fault.TraceTail]uint16, seg []byte, end uint64,
+	ring *[fault.TraceTail]fault.TraceEntry, ringN uint64) (sym uint32, lastOut int) {
+	last := len(seg) - 1
+	if copied {
+		// Every byte is one dispatch of the same cost at the same base,
+		// and the table lines may have left the cache while the bytes
+		// were copied: no lookups per byte.
+		e := tab.Bytes[r<<8]
+		cost, base := 1+e.Act()+e.Prb(), int(tab.Rows[r].Base)
+		for j := max(0, len(seg)-fault.TraceTail); j <= last; j++ {
 			ring[(ringN+uint64(j))%fault.TraceTail] = fault.TraceEntry{
-				Cycle: cycles + uint64(j) + 1, Base: base, Sym: peekBits(data, pos+int64(j)*int64(ss), ss)}
+				Cycle: end - uint64(len(seg)-j)*cost + 1, Base: base, Sym: uint32(seg[j])}
 		}
-		cs = &slots[base]
-		base = int(cs.NextBase)
+		return uint32(seg[last]), 1
 	}
-	return cs
+	k := int(tab.K)
+	mask := 1<<tab.W - 1
+	total := len(seg) * k
+	c := end
+	for j := last; j >= 0 && (j+1)*k+fault.TraceTail > total; j-- {
+		r = int(rows[j%fault.TraceTail])
+		e := tab.Bytes[r<<8|int(seg[j])]
+		c -= uint64(k) + e.Act() + e.Prb()
+		at := c
+		for s := 0; s < k; s++ {
+			sy := uint32(int(seg[j]) >> (8 - int(tab.W)*(s+1)) & mask)
+			se := tab.Syms[r<<tab.W|int(sy)]
+			if d := j*k + s; d+fault.TraceTail >= total {
+				ring[(ringN+uint64(d))%fault.TraceTail] = fault.TraceEntry{Cycle: at + 1, Base: int(tab.Rows[r].Base), Sym: sy}
+			}
+			at += 1 + se.Act() + se.Prb()
+			r = se.Next()
+			if j == last {
+				sym, lastOut = sy, se.N()
+			}
+		}
+	}
+	return sym, lastOut
 }

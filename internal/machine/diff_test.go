@@ -51,7 +51,11 @@ type runOut struct {
 	matches []machine.Match
 	mem     []byte
 	regs    [core.NumRegs]uint32
-	err     error
+	// watermark is the livelock high-water mark and stall count the run
+	// left behind (not observable until a later Run, but part of the
+	// state every tier must reproduce).
+	watermark [2]uint64
+	err       error
 	// engine is the tier the run actually executed on (EngineInUse), so
 	// cases can assert both that a tier was really exercised and that
 	// degradation (e.g. after a store into the code window) happened.
@@ -74,15 +78,17 @@ func runBanks(t *testing.T, img *effclip.Image, banks int, input []byte, setup f
 	for r := range regs {
 		regs[r] = lane.Reg(core.Reg(r))
 	}
+	mark, stall := lane.Watermark()
 	return runOut{
-		out:     append([]byte(nil), lane.Output()...),
-		exit:    lane.Exit(),
-		stats:   lane.Stats(),
-		matches: append([]machine.Match(nil), lane.Matches()...),
-		mem:     append([]byte(nil), lane.Mem()...),
-		regs:    regs,
-		err:     runErr,
-		engine:  lane.EngineInUse(),
+		out:       append([]byte(nil), lane.Output()...),
+		exit:      lane.Exit(),
+		stats:     lane.Stats(),
+		matches:   append([]machine.Match(nil), lane.Matches()...),
+		mem:       append([]byte(nil), lane.Mem()...),
+		regs:      regs,
+		watermark: [2]uint64{mark, stall},
+		err:       runErr,
+		engine:    lane.EngineInUse(),
 	}
 }
 
@@ -138,6 +144,9 @@ func diffAgainst(t *testing.T, name string, ref, got runOut) {
 	}
 	if ref.regs != got.regs {
 		t.Fatalf("final registers diverged:\n  memory:  %v\n  %s: %v", ref.regs, name, got.regs)
+	}
+	if ref.watermark != got.watermark {
+		t.Fatalf("livelock watermark diverged: memory %v, %s %v", ref.watermark, name, got.watermark)
 	}
 }
 

@@ -9,3 +9,8 @@ func SwapSlabs(m *memsys.Manager) (restore func()) {
 	slabs = m
 	return func() { slabs = old }
 }
+
+// Watermark returns the livelock high-water mark and stall count, so the
+// differential harness can require every tier to leave them where the
+// memory interpreter does.
+func (l *Lane) Watermark() (mark, stall uint64) { return l.progressMark, l.stall }
