@@ -45,12 +45,14 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzRecords -fuzztime=10s ./internal/sched
 	$(GO) test -run=NONE -fuzz=FuzzCompiledRuns -fuzztime=10s ./internal/machine
 
-# The CI gate: tier-1 (build + test) plus gofmt, vet, the race detector
-# over the whole module, the fuzz smoke, and the udpserved smoke test.
+# The CI gate: tier-1 (build + test) plus gofmt, vet, the simulated
+# makespan at 1, 2 and 8 host workers, the race detector over the whole
+# module, the fuzz smoke, and the udpserved smoke test.
 check: fmt-check
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
+	$(GO) test -run 'TestMakespanDeterministic|TestCyclesTrailerDeterministic' -cpu 1,2,8 ./internal/sched ./internal/server
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
 	$(GO) run ./scripts/smoke

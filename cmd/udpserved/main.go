@@ -48,7 +48,7 @@ func main() {
 	timeout := flag.Duration("timeout", server.DefaultRequestTimeout, "per-transform deadline")
 	inflight := flag.Int("max-inflight", server.DefaultMaxInflight, "concurrent transforms before 429")
 	cache := flag.Int("cache", server.DefaultCachePrograms, "posted-program LRU capacity")
-	lanes := flag.Int("lanes", 0, "lane-pool cap per transform (0 = image limit)")
+	lanes := flag.Int("lanes", 0, "simulated-lane cap per transform (0 = image limit)")
 	chunk := flag.Int("chunk", 0, "shard size target in bytes (0 = executor default)")
 	engineName := flag.String("engine", "auto",
 		"default lane execution tier: auto, interp, decoded or compiled (X-Udp-Engine overrides per request)")

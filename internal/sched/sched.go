@@ -5,6 +5,13 @@
 // through them, instead of requiring one lane per shard and the whole input
 // in memory the way machine.RunParallel does.
 //
+// The lanes a run simulates are separate from the host goroutines that
+// execute it. A run simulates up to MaxLanes(img) lanes but executes on at
+// most min(lanes, GOMAXPROCS) workers, each owning one reusable lane. The
+// simulated makespan is the list schedule the hardware would run (shards in
+// stream order, each to the least-loaded simulated lane), so it depends on
+// the image, the shards and the lane count, never on the host.
+//
 // The executor pulls shards from a Source through a bounded queue (the
 // backpressure point: a slow lane pool stalls the producer instead of
 // buffering the world), resets and reuses each lane between shards
@@ -20,11 +27,13 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"udp/internal/core"
 	"udp/internal/effclip"
 	"udp/internal/fault"
 	"udp/internal/machine"
@@ -75,7 +84,9 @@ func (e ShardError) Unwrap() error { return e.Err }
 type Event struct {
 	// Shard is the shard index in stream order.
 	Shard int
-	// Lane is the pool lane (0..Lanes-1) that ran the shard.
+	// Lane is the host worker (0..workers-1, workers = min(Lanes,
+	// GOMAXPROCS)) that ran the shard. It is not a simulated lane: the
+	// makespan's lane assignment follows from shard order alone.
 	Lane int
 	// Bytes is the shard's input size.
 	Bytes int
@@ -86,7 +97,7 @@ type Event struct {
 	// QueueDepth is the number of shards waiting in the queue at the
 	// moment this shard was dequeued (backpressure signal).
 	QueueDepth int
-	// Busy is the number of pool lanes executing a shard at the moment
+	// Busy is the number of host workers executing a shard at the moment
 	// this shard was dequeued, this one included (utilization signal).
 	Busy int
 	// Attempt is which execution of the shard this was (0 = first).
@@ -112,7 +123,7 @@ func (e Event) Rate() float64 { return machine.RateMBps(e.Bytes, e.Cycles) }
 type FaultRecord struct {
 	// Shard is the shard index in stream order.
 	Shard int
-	// Lane is the pool lane the faulting attempt ran on.
+	// Lane is the host worker the faulting attempt ran on (see Event.Lane).
 	Lane int
 	// Attempt is which execution of the shard faulted (0 = first).
 	Attempt int
@@ -218,14 +229,13 @@ func (p RetryPolicy) next(prev time.Duration) time.Duration {
 	return d
 }
 
-// Config tunes a run. The zero value is usable: MaxLanes(img) lanes, a
-// 2×lanes queue, fail-fast errors, no setup, no hook.
+// Config tunes a run. The zero value is usable: MaxLanes(img) simulated
+// lanes, fail-fast errors, no setup, no hook.
 type Config struct {
-	// Lanes caps the pool size; 0 or anything above MaxLanes(img) means
-	// MaxLanes(img).
+	// Lanes caps the simulated lanes the makespan is scheduled over; 0 or
+	// anything above MaxLanes(img) means MaxLanes(img). The run executes on
+	// min(Lanes, GOMAXPROCS) host workers through a queue of 2× workers.
 	Lanes int
-	// QueueDepth bounds the shard queue (backpressure); 0 means 2×lanes.
-	QueueDepth int
 	// Engine selects the lane execution tier for the pool
 	// (machine.EngineAuto, the zero value, picks the fastest eligible
 	// tier; see machine.Engine). Every pool lane runs the same engine.
@@ -276,8 +286,10 @@ type Config struct {
 
 // Result aggregates a streaming run. It embeds machine.RunResult so
 // existing consumers (Rate, LaneLogicJoules, Outputs, Matches) carry over;
-// Cycles is the pool makespan — the largest per-lane sum of shard cycles —
-// so Rate() reflects the time-multiplexed schedule.
+// Cycles is the makespan of the list schedule over Lanes simulated lanes —
+// shards in stream order, each to the lane with the fewest accumulated
+// cycles, only successful attempts charged — so Rate() reflects the
+// time-multiplexed schedule and is the same on every host.
 type Result struct {
 	machine.RunResult
 	// Shards is the number of shards pulled from the source.
@@ -292,7 +304,7 @@ type Result struct {
 	Retries int
 	// LanesQuarantined counts lanes replaced after a panic trap.
 	LanesQuarantined int
-	// QueueHighWater is the deepest the shard queue got (≤ QueueDepth).
+	// QueueHighWater is the deepest the shard queue got (≤ 2× workers).
 	QueueHighWater int
 	// Wall is the host wall-clock duration of the whole run.
 	Wall time.Duration
@@ -326,6 +338,10 @@ type parked struct {
 	at  time.Time
 }
 
+// reorderWindow bounds, in multiples of the worker count, how far the
+// producer may run ahead of the sink cursor.
+const reorderWindow = 4
+
 // mem is the shared slab manager backing the sink output windows here and
 // the chunker buffers in source.go. The Sink contract forbids retaining
 // out past the call, so a delivered buffer's slab can back a later
@@ -358,10 +374,7 @@ func Run(ctx context.Context, img *effclip.Image, src Source, cfg Config) (*Resu
 	if lanes <= 0 || lanes > limit {
 		lanes = limit
 	}
-	depth := cfg.QueueDepth
-	if depth <= 0 {
-		depth = 2 * lanes
-	}
+	workers := min(lanes, runtime.GOMAXPROCS(0))
 
 	start := time.Now()
 	ctx, cancel := context.WithCancel(ctx)
@@ -373,9 +386,11 @@ func Run(ctx context.Context, img *effclip.Image, src Source, cfg Config) (*Resu
 	// allocations per request on the serving path.
 	s := &runState{
 		ctx: ctx, cancel: cancel, img: img, src: src, cfg: cfg,
-		res:   &Result{},
-		queue: make(chan workItem, depth),
-		lanes: lanes, laneCycles: make([]uint64, lanes),
+		res: &Result{},
+		// Two queued shards per worker keep every worker fed while the
+		// run's in-flight slabs stay a few per core.
+		queue:   make(chan workItem, 2*workers),
+		workers: workers,
 		// The request span carried by ctx (if any) parents one "shard"
 		// span per attempt, each wrapping a "lane.run" span — the
 		// request → shards → lane-runs trace tree. A nil span makes every
@@ -387,6 +402,7 @@ func Run(ctx context.Context, img *effclip.Image, src Source, cfg Config) (*Resu
 	}
 	s.res.RunResult.Lanes = lanes
 	s.res.RunResult.BanksPerLane = img.Banks()
+	s.sinkMoved.L = &s.mu
 
 	// Shard buffers flow back to a recycling source once finally resolved
 	// (the lane pool only reads a shard between SetInput and the end of its
@@ -425,18 +441,31 @@ func Run(ctx context.Context, img *effclip.Image, src Source, cfg Config) (*Resu
 	res.Outputs = s.outputs
 	res.Matches = s.matches
 	res.Total = s.total
-	for _, b := range s.shardBytes {
-		res.InputBytes += b
-	}
-	for _, c := range s.laneCycles {
-		if c > res.Cycles {
-			res.Cycles = c
-		}
-	}
+	res.InputBytes = s.inputBytes
+	res.Cycles = makespan(s.shardCycles, lanes)
 	res.Errors = s.shardErrs
 	res.QueueHighWater = s.highWater
 	res.Wall = time.Since(start)
 	return res, nil
+}
+
+// makespan list-schedules shards over lanes simulated lanes: in stream
+// order, each shard goes to the lane with the fewest accumulated cycles
+// (the lowest index on a tie). It returns the most any lane accumulated.
+func makespan(shardCycles []uint64, lanes int) uint64 {
+	var load [core.NumLanes]uint64
+	var span uint64
+	for _, c := range shardCycles {
+		least := 0
+		for l := 1; l < lanes; l++ {
+			if load[l] < load[least] {
+				least = l
+			}
+		}
+		load[least] += c
+		span = max(span, load[least])
+	}
+	return span
 }
 
 // runState is one Run's shared orchestration state. The producer, the lane
@@ -453,22 +482,23 @@ type runState struct {
 	recycle Recycler
 	reqSpan *obs.Span
 	clock   *obs.StageClock
-	lanes   int
+	workers int
 
-	mu         sync.Mutex // guards everything below, and serializes Hook and Sink
-	outputs    [][]byte
-	matches    [][]machine.Match
-	shardBytes []int
-	total      machine.Stats
-	shardErrs  []ShardError
-	runErr     error // first fatal error (FailFast shard error or source error)
-	highWater  int
-	inflight   int  // shards enqueued but not finally resolved (retries keep it held)
-	prodDone   bool // producer has stopped enqueuing new shards
-	pending    map[int]parked
-	sinkNext   int
-	spawned    int
-	laneCycles []uint64
+	mu          sync.Mutex // guards everything below, and serializes Hook and Sink
+	outputs     [][]byte
+	matches     [][]machine.Match
+	shardCycles []uint64 // the successful attempt's cycles; 0 for a failed shard
+	inputBytes  int
+	total       machine.Stats
+	shardErrs   []ShardError
+	runErr      error // first fatal error (FailFast shard error or source error)
+	highWater   int
+	inflight    int  // shards enqueued but not finally resolved (retries keep it held)
+	prodDone    bool // producer has stopped enqueuing new shards
+	pending     map[int]parked
+	sinkNext    int
+	sinkMoved   sync.Cond // on mu: the sink cursor advanced or the run ended
+	spawned     int
 
 	busy      atomic.Int32
 	stop      atomic.Bool
@@ -479,6 +509,9 @@ type runState struct {
 func (s *runState) watchStop() {
 	<-s.ctx.Done()
 	s.stop.Store(true)
+	s.mu.Lock()
+	s.sinkMoved.Broadcast()
+	s.mu.Unlock()
 }
 
 // maybeClose runs with mu held. The queue closes only when the producer is
@@ -492,15 +525,16 @@ func (s *runState) maybeClose() {
 	}
 }
 
-func (s *runState) setSlot(idx int, out []byte, m []machine.Match, bytes int) {
+func (s *runState) setSlot(idx int, out []byte, m []machine.Match, bytes int, cycles uint64) {
 	for len(s.outputs) <= idx {
 		s.outputs = append(s.outputs, nil)
 		s.matches = append(s.matches, nil)
-		s.shardBytes = append(s.shardBytes, 0)
+		s.shardCycles = append(s.shardCycles, 0)
 	}
 	s.outputs[idx] = out
 	s.matches[idx] = m
-	s.shardBytes[idx] = bytes
+	s.shardCycles[idx] = cycles
+	s.inputBytes += bytes
 }
 
 func (s *runState) fail(err error) {
@@ -520,6 +554,7 @@ func (s *runState) drainSink() {
 		}
 		delete(s.pending, s.sinkNext)
 		s.sinkNext++
+		s.sinkMoved.Signal()
 		// Reorder-window dwell: how long this finished shard waited for a
 		// slower predecessor before the sink could take it.
 		s.clock.Add(obs.StageSink, time.Since(p.at))
@@ -537,11 +572,11 @@ func (s *runState) drainSink() {
 
 // spawnWorkers runs with mu held. Lane workers spawn on demand: worker w
 // starts only once the producer has seen at least w+1 shards (capped at
-// lanes), so a one-shard request pays for one goroutine instead of
+// workers), so a one-shard request pays for one goroutine instead of
 // MaxLanes — previously the serving path's single largest per-request
 // allocation.
 func (s *runState) spawnWorkers(want int) {
-	for s.spawned < s.lanes && s.spawned < want {
+	for s.spawned < s.workers && s.spawned < want {
 		s.wg.Add(1)
 		go s.worker(s.spawned)
 		s.spawned++
@@ -550,7 +585,9 @@ func (s *runState) spawnWorkers(want int) {
 
 // produce pulls shards from the source into the bounded queue. Each shard
 // raises inflight before the send so the queue cannot close underneath it;
-// whoever finally resolves the shard lowers it.
+// whoever finally resolves the shard lowers it. With a Sink, the producer
+// holds each shard while it is reorderWindow × workers shards ahead of the
+// sink cursor, so one stalled shard cannot park the rest of the body.
 func (s *runState) produce() {
 	defer s.wg.Done()
 	defer func() {
@@ -579,6 +616,9 @@ func (s *runState) produce() {
 			return
 		}
 		s.mu.Lock()
+		for s.cfg.Sink != nil && idx-s.sinkNext >= reorderWindow*s.workers && s.ctx.Err() == nil {
+			s.sinkMoved.Wait()
+		}
 		s.inflight++
 		s.res.Shards = idx + 1
 		s.spawnWorkers(idx + 1)
@@ -751,7 +791,7 @@ func (s *runState) worker(w int) {
 				if !ev.Retried {
 					if cfg.Policy == CollectErrors {
 						s.shardErrs = append(s.shardErrs, ShardError{Shard: it.idx, Err: err})
-						s.setSlot(it.idx, nil, nil, len(it.data))
+						s.setSlot(it.idx, nil, nil, len(it.data), 0)
 						if cfg.Sink != nil {
 							s.pending[it.idx] = parked{at: time.Now()}
 							s.drainSink()
@@ -767,14 +807,13 @@ func (s *runState) worker(w int) {
 				}
 			} else {
 				if cfg.Sink != nil {
-					s.setSlot(it.idx, nil, m, len(it.data))
+					s.setSlot(it.idx, nil, m, len(it.data), st.Cycles)
 					s.pending[it.idx] = parked{out: out, at: time.Now()}
 					s.drainSink()
 				} else {
-					s.setSlot(it.idx, out, m, len(it.data))
+					s.setSlot(it.idx, out, m, len(it.data), st.Cycles)
 				}
 				s.total.Add(st)
-				s.laneCycles[w] += st.Cycles
 				if s.recycle != nil {
 					s.recycle.Recycle(it.data)
 				}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -98,8 +99,8 @@ func TestStreamsManyMoreShardsThanLanes(t *testing.T) {
 	if res.Cycles == 0 || res.Rate() <= 0 {
 		t.Fatal("makespan cycles and rate must be positive")
 	}
-	if res.QueueHighWater > 2*limit {
-		t.Fatalf("queue high water %d exceeds default depth %d", res.QueueHighWater, 2*limit)
+	if depth := 2 * min(limit, runtime.GOMAXPROCS(0)); res.QueueHighWater > depth {
+		t.Fatalf("queue high water %d exceeds the depth %d (2× host workers)", res.QueueHighWater, depth)
 	}
 }
 
@@ -454,10 +455,18 @@ func (c *countingSource) complete() {
 	c.mu.Unlock()
 }
 
+// Recycle hands a finished shard back to the wrapped source when that
+// source recycles its buffers.
+func (c *countingSource) Recycle(buf []byte) {
+	if r, ok := c.inner.(Recycler); ok {
+		r.Recycle(buf)
+	}
+}
+
 // TestQueueBackpressureWithSlowConsumer pins that a slow lane pool stalls
 // the producer at the bounded queue instead of buffering the whole input:
 // the source is never more than queue depth + pool size + 1 shards ahead of
-// the completions.
+// the completions. One lane runs on one worker, so the queue holds 2.
 func TestQueueBackpressureWithSlowConsumer(t *testing.T) {
 	im := echoImage(t)
 	const shards, lanes, depth = 48, 1, 2
@@ -467,8 +476,7 @@ func TestQueueBackpressureWithSlowConsumer(t *testing.T) {
 	}
 	src := &countingSource{inner: Slice(in)}
 	cfg := Config{
-		Lanes:      lanes,
-		QueueDepth: depth,
+		Lanes: lanes,
 		Setup: func(l *machine.Lane, shard int) error {
 			time.Sleep(500 * time.Microsecond) // the slow consumer
 			return nil
@@ -562,6 +570,40 @@ func TestSinkSkipsFailedShardsUnderCollectErrors(t *testing.T) {
 	}
 	if len(res.Errors) != 1 || res.Errors[0].Shard != 1 {
 		t.Fatalf("errors %v, want shard 1", res.Errors)
+	}
+}
+
+// TestMakespanIsTheListSchedule: Result.Cycles is the schedule the hardware
+// would run over the simulated lanes, worked out by hand. Echo costs 3
+// cycles a byte, so shards of 5, 3, 3, 4 and 2 bytes cost 15, 9, 9, 12 and 6
+// cycles. Over 2 lanes, in stream order, each to the lane with the fewest
+// cycles so far: 15 → lane 0 (15), 9 → lane 1 (9), 9 → lane 1 (18),
+// 12 → lane 0 (27), 6 → lane 1 (24). The makespan is 27, whichever host
+// goroutine ran which shard.
+func TestMakespanIsTheListSchedule(t *testing.T) {
+	im := echoImage(t)
+	shards := [][]byte{[]byte("aaaaa"), []byte("bbb"), []byte("ccc"), []byte("dddd"), []byte("ee")}
+	for _, c := range []struct {
+		lanes int
+		want  uint64
+	}{
+		{1, 15 + 9 + 9 + 12 + 6}, // one lane runs everything back to back
+		{2, 27},
+		{3, 21}, // 15 | 9+12 | 9+6: the 12 goes to the first of the two 9s
+		{8, 15}, // more lanes than shards: the largest shard
+	} {
+		for run := 0; run < 20; run++ {
+			res, err := Run(context.Background(), im, Slice(shards), Config{Lanes: c.lanes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cycles != c.want {
+				t.Fatalf("%d lanes, run %d: makespan %d, want %d", c.lanes, run, res.Cycles, c.want)
+			}
+			if res.Total.Cycles != 51 {
+				t.Fatalf("%d lanes: Σcycles %d, want 51", c.lanes, res.Total.Cycles)
+			}
+		}
 	}
 }
 

@@ -177,6 +177,65 @@ func TestRunReturnsEverySlab(t *testing.T) {
 	}
 }
 
+// TestSinkReorderWindowBoundsTheProducer: with a Sink, a stalled shard 0
+// must stop the producer once it is reorderWindow × workers shards ahead of
+// the sink cursor. Without the bound, the other workers run the rest of the
+// body and every output parks in the reorder window behind shard 0.
+func TestSinkReorderWindowBoundsTheProducer(t *testing.T) {
+	private := memsys.New(memsys.Config{})
+	shared := mem
+	mem = private
+	defer func() { mem = shared }()
+
+	const shards, lanes = 300, 2
+	workers := min(lanes, runtime.GOMAXPROCS(0))
+	var rows bytes.Buffer
+	for i := 0; i < shards; i++ {
+		fmt.Fprintf(&rows, "%063d\n", i) // 64-byte records, one per 64-byte shard
+	}
+	src := &countingSource{inner: Records(bytes.NewReader(rows.Bytes()), 64, '\n')}
+	var got []byte
+	cfg := Config{
+		Lanes: lanes,
+		// Shard 0 holds its lane until 200 later shards could have been
+		// pulled, or until a deadline when the producer is held back.
+		Setup: func(_ *machine.Lane, shard int) error {
+			if shard != 0 {
+				return nil
+			}
+			for deadline := time.Now().Add(100 * time.Millisecond); time.Now().Before(deadline); {
+				src.mu.Lock()
+				pulled := src.pulled
+				src.mu.Unlock()
+				if pulled > 200 {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			return nil
+		},
+		Sink: func(_ int, out []byte) error {
+			got = append(got, out...)
+			src.complete()
+			return nil
+		},
+	}
+	res, err := Run(context.Background(), echoImage(t), src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Shards != shards || !bytes.Equal(got, rows.Bytes()) {
+		t.Fatalf("%d shards, %d of %d bytes delivered", res.Shards, len(got), rows.Len())
+	}
+	if limit := reorderWindow*workers + workers + 1; src.maxAhead > limit {
+		t.Fatalf("source ran %d shards ahead of the sink, want <= %d (unbounded reorder window)",
+			src.maxAhead, limit)
+	}
+	if n := outstanding(private); n != 0 {
+		t.Fatalf("%d chunker/sink slabs not returned", n)
+	}
+}
+
 // wantRecordShards is the chunker's contract written out: a shard ends just
 // after the first separator at or beyond the chunk target, the remainder is
 // the last shard. How the reader hands out its bytes must not matter.

@@ -115,7 +115,8 @@ type Options struct {
 	DrainGrace time.Duration
 	// CachePrograms bounds the POSTed-program LRU. Default 64.
 	CachePrograms int
-	// MaxLanes caps the lane pool per transform (0 = the image's limit).
+	// MaxLanes caps the simulated lanes per transform (0 = the image's
+	// limit); the host runs each transform on at most GOMAXPROCS workers.
 	MaxLanes int
 	// Engine is the default lane execution tier for transforms (the zero
 	// value, udp.EngineAuto, compiles whenever the image lowers). A request

@@ -280,16 +280,11 @@ type execOpts struct {
 	recordSep  bool
 }
 
-// WithMaxLanes caps the lane pool (0 or anything above MaxLanes(img) means
-// MaxLanes(img)).
+// WithMaxLanes caps the simulated lanes the run's makespan is scheduled
+// over (0 or anything above MaxLanes(img) means MaxLanes(img)). The host
+// executes on at most min(lanes, GOMAXPROCS) goroutines either way.
 func WithMaxLanes(n int) ExecOption {
 	return func(o *execOpts) { o.cfg.Lanes = n }
-}
-
-// WithQueueDepth bounds the shard queue feeding the pool — the run's
-// backpressure point (default 2× the pool size).
-func WithQueueDepth(n int) ExecOption {
-	return func(o *execOpts) { o.cfg.QueueDepth = n }
 }
 
 // WithLaneSetup installs a per-shard lane customization hook; it runs after
@@ -405,10 +400,10 @@ func WithSink(sink func(shard int, out []byte) error) ExecOption {
 
 // Exec streams source through a pool of reusable lanes executing im — the
 // context-aware entry point for inputs of any size. Shards are cut by a
-// fixed-size chunker, or a record-aligned one under WithChunker; at most
-// MaxLanes(im) lanes run concurrently and an unbounded number of shards is
-// time-multiplexed over them. Cancelling ctx stops the run at the next
-// shard boundary.
+// fixed-size chunker, or a record-aligned one under WithChunker; an
+// unbounded number of shards is time-multiplexed over at most MaxLanes(im)
+// simulated lanes, executed by at most GOMAXPROCS host goroutines.
+// Cancelling ctx stops the run at the next shard boundary.
 func Exec(ctx context.Context, im *Image, source io.Reader, opts ...ExecOption) (*ExecResult, error) {
 	if source == nil {
 		return nil, ErrNilSource
