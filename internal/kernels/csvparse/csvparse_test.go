@@ -2,6 +2,7 @@ package csvparse
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"reflect"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"udp/internal/effclip"
 	"udp/internal/machine"
+	"udp/internal/sched"
 	"udp/internal/workload"
 )
 
@@ -104,19 +106,15 @@ func TestParallelShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	shards := machine.SplitRecords(data, 16, '\n')
-	res, err := machine.RunParallel(im, shards, nil)
+	res, err := sched.Run(context.Background(), im, sched.Slice(shards), sched.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var joined []byte
-	for _, o := range res.Outputs {
-		joined = append(joined, o...)
-	}
-	if !bytes.Equal(joined, Parse(data)) {
+	if !bytes.Equal(res.Output(), Parse(data)) {
 		t.Fatal("parallel UDP output differs from CPU tokenization")
 	}
-	if res.Lanes != len(shards) {
-		t.Fatalf("lanes %d", res.Lanes)
+	if res.Shards != len(shards) {
+		t.Fatalf("shards %d, want %d", res.Shards, len(shards))
 	}
 }
 

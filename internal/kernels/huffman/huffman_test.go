@@ -2,12 +2,14 @@ package huffman
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"udp/internal/effclip"
 	"udp/internal/machine"
+	"udp/internal/sched"
 	"udp/internal/workload"
 )
 
@@ -293,7 +295,7 @@ func TestParallelDecode64(t *testing.T) {
 	for i := range shards {
 		shards[i] = padded
 	}
-	res, err := machine.RunParallel(im, shards, nil)
+	res, err := sched.Run(context.Background(), im, sched.Slice(shards), sched.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

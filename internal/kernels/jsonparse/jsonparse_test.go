@@ -2,11 +2,13 @@ package jsonparse
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
 	"udp/internal/effclip"
 	"udp/internal/machine"
+	"udp/internal/sched"
 	"udp/internal/workload"
 )
 
@@ -129,15 +131,11 @@ func TestParallelShardsReassemble(t *testing.T) {
 		t.Fatal(err)
 	}
 	shards := machine.SplitRecords(data, 16, '\n')
-	res, err := machine.RunParallel(im, shards, nil)
+	res, err := sched.Run(context.Background(), im, sched.Slice(shards), sched.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var joined []byte
-	for _, o := range res.Outputs {
-		joined = append(joined, o...)
-	}
-	if !bytes.Equal(joined, Tokenize(data)) {
+	if !bytes.Equal(res.Output(), Tokenize(data)) {
 		t.Fatal("sharded tokenization differs")
 	}
 }

@@ -14,8 +14,8 @@
 //   - the hot counters (cycles, dispatches, actions, stream bits, output
 //     bytes, probe and hop counts), the stream cursor, the livelock
 //     watermark and the machine position (base, signature, mode) live in
-//     locals, synced to the lane only at observation boundaries: traps,
-//     slow chains, interpreter hand-offs and run exit;
+//     one loop-local cstate, synced to the lane only at observation
+//     boundaries: traps, slow chains, interpreter hand-offs and run exit;
 //   - input that drives only pure dispatches — found at lowering and
 //     composed per input byte into the image's byte-step table
 //     (internal/compile/table.go) — is consumed with one table lookup per
@@ -41,43 +41,71 @@ import (
 	"udp/internal/fault"
 )
 
-// syncCompiled writes the compiled loop's locally-held state back to the
-// lane at an observation boundary: traps (trapf reads l.stats.Cycles and
-// l.base), the interpreter's action machinery, and run exit. It is a plain
-// method on purpose — a closure over the loop locals would make them
-// addressable and push them out of registers.
-func (l *Lane) syncCompiled(
-	cycles, dispatches, actions, streamBits, outBytes,
-	fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN uint64,
-	pos int64, out []byte, base int, baseSig uint8, mode core.DispatchMode,
-	ring *[fault.TraceTail]fault.TraceEntry,
-) {
-	l.stats.Cycles = cycles
-	l.stats.Dispatches = dispatches
-	l.stats.Actions = actions
-	l.stats.StreamBits = streamBits
-	l.stats.OutBytes = outBytes
-	l.stats.FallbackProbes = fallbackProbes
-	l.stats.DefaultHops = defaultHops
-	l.progressMark = progressMark
-	l.stall = stall
-	l.stopCheck = stopCheck
-	l.stream.pos = pos
-	l.out = out
-	l.base = base
-	l.baseSig = baseSig
-	l.mode = mode
-	// Flush the loop's stack-resident trace-ring entries written since the
-	// last boundary; positions line up because the local ring continues the
-	// global entry numbering.
-	if k := ringN - l.ringN; k > 0 {
+// cstate is the lane state the compiled loop holds locally between
+// observation boundaries: the hot counters, the livelock watermark, the
+// stop-poll count, the trace-ring count, the stream cursor, the output and
+// the machine position (base, signature, mode). Its last four fields mirror
+// lane state only the interpreter's machinery can change; they are read by
+// loadCompiled and never written back (the loop writes l.ss and l.halted
+// itself when it changes them).
+type cstate struct {
+	cycles, dispatches, actions, streamBits, outBytes uint64
+	fallbackProbes, defaultHops                       uint64
+	progressMark, stall, stopCheck, ringN             uint64
+	pos                                               int64
+	out                                               []byte
+	base                                              int
+	baseSig                                           uint8
+	mode                                              core.DispatchMode
+
+	ss            uint8
+	halted, decOK bool
+	memRefs       uint64
+}
+
+// loadCompiled reads the loop's state from the lane: it seeds the loop and
+// reloads it after every excursion onto the interpreter's machinery.
+func (l *Lane) loadCompiled() cstate {
+	return cstate{
+		cycles: l.stats.Cycles, dispatches: l.stats.Dispatches, actions: l.stats.Actions,
+		streamBits: l.stats.StreamBits, outBytes: l.stats.OutBytes,
+		fallbackProbes: l.stats.FallbackProbes, defaultHops: l.stats.DefaultHops,
+		progressMark: l.progressMark, stall: l.stall, stopCheck: l.stopCheck, ringN: l.ringN,
+		pos: l.stream.pos, out: l.out, base: l.base, baseSig: l.baseSig, mode: l.mode,
+		ss: l.ss, halted: l.halted, decOK: l.decOK, memRefs: l.stats.MemRefs,
+	}
+}
+
+// syncCompiled writes the compiled loop's state back to the lane at an
+// observation boundary: traps (trapf reads l.stats.Cycles and l.base), the
+// interpreter's action machinery, and run exit. ring is the loop's
+// stack-resident trace ring.
+func (l *Lane) syncCompiled(c *cstate, ring *[fault.TraceTail]fault.TraceEntry) {
+	l.stats.Cycles = c.cycles
+	l.stats.Dispatches = c.dispatches
+	l.stats.Actions = c.actions
+	l.stats.StreamBits = c.streamBits
+	l.stats.OutBytes = c.outBytes
+	l.stats.FallbackProbes = c.fallbackProbes
+	l.stats.DefaultHops = c.defaultHops
+	l.progressMark = c.progressMark
+	l.stall = c.stall
+	l.stopCheck = c.stopCheck
+	l.stream.pos = c.pos
+	l.out = c.out
+	l.base = c.base
+	l.baseSig = c.baseSig
+	l.mode = c.mode
+	// Flush the ring entries written since the last boundary; positions
+	// line up because the local ring continues the global entry numbering.
+	if k := c.ringN - l.ringN; k > 0 {
 		if k > fault.TraceTail {
 			k = fault.TraceTail
 		}
-		for i := ringN - k; i < ringN; i++ {
+		for i := c.ringN - k; i < c.ringN; i++ {
 			l.ring[i%fault.TraceTail] = ring[i%fault.TraceTail]
 		}
-		l.ringN = ringN
+		l.ringN = c.ringN
 	}
 }
 
@@ -91,34 +119,12 @@ func (l *Lane) runCompiled(maxCycles uint64) error {
 	data := stream.data
 	regs := &l.regs
 
-	cycles := l.stats.Cycles
-	dispatches := l.stats.Dispatches
-	actions := l.stats.Actions
-	streamBits := l.stats.StreamBits
-	outBytes := l.stats.OutBytes
-	fallbackProbes := l.stats.FallbackProbes
-	defaultHops := l.stats.DefaultHops
-	progressMark := l.progressMark
-	stall := l.stall
-	stopCheck := l.stopCheck
-	ringN := l.ringN
+	c := l.loadCompiled()
 	var lring [fault.TraceTail]fault.TraceEntry
-	ss := l.ss
-	pos := stream.pos
-	out := l.out
-	base := l.base
-	baseSig := l.baseSig
-	mode := l.mode
 	window := l.livelockWindow
 	if window == 0 {
 		window = DefaultLivelockWindow
 	}
-	// Mirrors of lane state only the interpreter's machinery can change;
-	// reloaded after every excursion onto it (fused chains cannot touch
-	// them).
-	halted := l.halted
-	decOK := l.decOK
-	memRefs := l.stats.MemRefs
 	// The byte-step table; tw never matches ss without one.
 	tab := cp.Table
 	var rowOf []uint16
@@ -130,7 +136,7 @@ func (l *Lane) runCompiled(maxCycles uint64) error {
 	// segment started on, for traceTable.
 	var rows [fault.TraceTail]uint16
 
-	for !halted {
+	for !c.halted {
 		// Byte-step table: from a tabled state at a byte boundary, consume
 		// the bytes whose dispatches are all pure with one lookup each, up
 		// to an exit entry. The segment's first dispatch must advance the
@@ -139,94 +145,94 @@ func (l *Lane) runCompiled(maxCycles uint64) error {
 		// that just stored into the code window (decOK false) leaves the
 		// table stale. The loop-top checks below then run for the next
 		// dispatch, as after any other.
-		if ss == tw && pos&7 == 0 && decOK && uint(base) < uint(len(rowOf)) {
-			from := int(pos >> 3)
-			r := int(rowOf[base]) - 1
-			if p := uint64(pos) + outBytes + memRefs; r >= 0 && tab.Rows[r].Mode == mode && p > progressMark &&
+		if c.ss == tw && c.pos&7 == 0 && c.decOK && uint(c.base) < uint(len(rowOf)) {
+			from := int(c.pos >> 3)
+			r := int(rowOf[c.base]) - 1
+			if p := uint64(c.pos) + c.outBytes + c.memRefs; r >= 0 && tab.Rows[r].Mode == c.mode && p > c.progressMark &&
 				from < len(data) && !tab.Bytes[r<<8|int(data[from])].IsExit() {
-				n := tableLimit(tab, len(data)-from, cycles, maxCycles, stopCheck, l.stop != nil)
+				n := tableLimit(tab, len(data)-from, c.cycles, maxCycles, c.stopCheck, l.stop != nil)
 				var act, prb uint64
-				at := len(out)
+				at := len(c.out)
 				copied := tab.Rows[r].Copy
-				n, r, act, prb, out = tableRun(tab, r, copied, data[from:from+n], out, regs, &rows)
+				n, r, act, prb, c.out = tableRun(tab, r, copied, data[from:from+n], c.out, regs, &rows)
 				if n > 0 {
 					d := uint64(n) * uint64(tab.K)
-					cycles += d + act + prb
-					dispatches += d
-					actions += act
-					fallbackProbes += prb
-					streamBits += uint64(n) * 8
-					outBytes += uint64(len(out) - at)
-					pos += int64(n) * 8
+					c.cycles += d + act + prb
+					c.dispatches += d
+					c.actions += act
+					c.fallbackProbes += prb
+					c.streamBits += uint64(n) * 8
+					c.outBytes += uint64(len(c.out) - at)
+					c.pos += int64(n) * 8
 					if l.stop != nil {
-						stopCheck += d
+						c.stopCheck += d
 					}
-					sym, lastOut := traceTable(tab, r, copied, &rows, data[from:from+n], cycles, &lring, ringN)
-					ringN += d
+					sym, lastOut := traceTable(tab, r, copied, &rows, data[from:from+n], c.cycles, &lring, c.ringN)
+					c.ringN += d
 					regs[core.RSym] = sym
-					progressMark, stall = uint64(pos)-uint64(tab.W)+outBytes-uint64(lastOut)+memRefs, 0
+					c.progressMark, c.stall = uint64(c.pos)-uint64(tab.W)+c.outBytes-uint64(lastOut)+c.memRefs, 0
 					row := &tab.Rows[r]
-					base, baseSig, mode = int(row.Base), row.Sig, row.Mode
+					c.base, c.baseSig, c.mode = int(row.Base), row.Sig, row.Mode
 				}
 			}
 		}
 
-		if cycles >= maxCycles {
-			l.syncCompiled(cycles, dispatches, actions, streamBits, outBytes, fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN, pos, out, base, baseSig, mode, &lring)
+		if c.cycles >= maxCycles {
+			l.syncCompiled(&c, &lring)
 			return l.trapf(fault.TrapCycleBudget, "exceeded %d-cycle budget", maxCycles)
 		}
 		// Livelock watermark (checkProgress, on the local counters).
-		p := uint64(pos) + outBytes + memRefs
-		if p > progressMark {
-			progressMark = p
-			stall = 0
+		p := uint64(c.pos) + c.outBytes + c.memRefs
+		if p > c.progressMark {
+			c.progressMark = p
+			c.stall = 0
 		} else {
-			stall++
-			if stall > window {
-				l.syncCompiled(cycles, dispatches, actions, streamBits, outBytes, fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN, pos, out, base, baseSig, mode, &lring)
+			c.stall++
+			if c.stall > window {
+				l.syncCompiled(&c, &lring)
 				return l.trapf(fault.TrapEpsilonLoop,
 					"no forward progress across %d dispatches (self-dispatch or putback livelock)", window)
 			}
 		}
 		// Cooperative interruption (interrupted, inlined).
 		if l.stop != nil {
-			stopCheck++
-			if stopCheck%interruptStride == 0 && l.stop.Load() {
-				l.syncCompiled(cycles, dispatches, actions, streamBits, outBytes, fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN, pos, out, base, baseSig, mode, &lring)
+			c.stopCheck++
+			if c.stopCheck%interruptStride == 0 && l.stop.Load() {
+				l.syncCompiled(&c, &lring)
 				return ErrInterrupted
 			}
 		}
 
 		var sym uint32
-		switch mode {
+		switch c.mode {
 		case core.ModeStream, core.ModeCommon:
-			if ss == 8 && pos&7 == 0 {
+			if c.ss == 8 && c.pos&7 == 0 {
 				// Aligned byte symbols: the overwhelmingly common case.
-				idx := pos >> 3
+				idx := c.pos >> 3
 				if idx >= int64(len(data)) {
-					l.syncCompiled(cycles, dispatches, actions, streamBits, outBytes, fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN, pos, out, base, baseSig, mode, &lring)
+					l.syncCompiled(&c, &lring)
 					return nil // input consumed
 				}
 				sym = uint32(data[idx])
-				pos += 8
+				c.pos += 8
 			} else {
-				if pos+int64(ss) > int64(len(data))*8 {
-					l.syncCompiled(cycles, dispatches, actions, streamBits, outBytes, fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN, pos, out, base, baseSig, mode, &lring)
+				if c.pos+int64(c.ss) > int64(len(data))*8 {
+					l.syncCompiled(&c, &lring)
 					return nil // input consumed
 				}
-				if skip := uint8(pos & 7); skip+ss <= 8 && ss != 0 {
+				if skip := uint8(c.pos & 7); skip+c.ss <= 8 && c.ss != 0 {
 					// A sub-byte symbol inside one byte (histogram nibbles;
 					// a zero-width read may sit at the very end). This is
 					// peekBits' fast path written out: peekBits is over the
 					// inlining budget, and the call costs ≈7 % of
 					// BenchmarkLaneCompiled/histogram16e.
-					sym = uint32(data[pos>>3]>>(8-skip-ss)) & (1<<ss - 1)
+					sym = uint32(data[c.pos>>3]>>(8-skip-c.ss)) & (1<<c.ss - 1)
 				} else {
-					sym = peekWide(data, pos, ss)
+					sym = peekWide(data, c.pos, c.ss)
 				}
-				pos += int64(ss)
+				c.pos += int64(c.ss)
 			}
-			streamBits += uint64(ss)
+			c.streamBits += uint64(c.ss)
 		default: // core.ModeFlagged
 			sym = regs[core.R0]
 		}
@@ -234,19 +240,19 @@ func (l *Lane) runCompiled(maxCycles uint64) error {
 	dispatch:
 		for hop := 0; ; hop++ {
 			if hop > 256 {
-				l.syncCompiled(cycles, dispatches, actions, streamBits, outBytes, fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN, pos, out, base, baseSig, mode, &lring)
-				return l.trapf(fault.TrapEpsilonLoop, "default-transition loop at base %d", base)
+				l.syncCompiled(&c, &lring)
+				return l.trapf(fault.TrapEpsilonLoop, "default-transition loop at base %d", c.base)
 			}
-			slot := base + int(sym)
-			if mode == core.ModeCommon {
-				slot = base
+			slot := c.base + int(sym)
+			if c.mode == core.ModeCommon {
+				slot = c.base
 			}
-			if uint(slot) >= uint(len(slots)) || !decOK {
+			if uint(slot) >= uint(len(slots)) || !c.decOK {
 				// The probe leaves the compiled image, or a store just
 				// invalidated the caches: finish this dispatch on the
 				// memory path (charging nothing for the hop yet, exactly
 				// like the decoded tier's delegation).
-				l.syncCompiled(cycles, dispatches, actions, streamBits, outBytes, fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN, pos, out, base, baseSig, mode, &lring)
+				l.syncCompiled(&c, &lring)
 				if err := l.dispatchMem(sym, hop); err != nil {
 					return err
 				}
@@ -256,61 +262,54 @@ func (l *Lane) runCompiled(maxCycles uint64) error {
 					// apply. The interpreter loop finishes the run.
 					return l.runSingle(maxCycles)
 				}
-				cycles, dispatches = l.stats.Cycles, l.stats.Dispatches
-				actions, streamBits, outBytes = l.stats.Actions, l.stats.StreamBits, l.stats.OutBytes
-				fallbackProbes, defaultHops = l.stats.FallbackProbes, l.stats.DefaultHops
-				progressMark, stall, pos = l.progressMark, l.stall, stream.pos
-				stopCheck, ringN, ss = l.stopCheck, l.ringN, l.ss
-				out = l.out
-				base, baseSig, mode = l.base, l.baseSig, l.mode
-				halted, decOK, memRefs = l.halted, l.decOK, l.stats.MemRefs
+				c = l.loadCompiled()
 				break dispatch
 			}
 
-			cycles++
-			dispatches++
-			lring[ringN%fault.TraceTail] = fault.TraceEntry{Cycle: cycles, Base: base, Sym: sym}
-			ringN++
+			c.cycles++
+			c.dispatches++
+			lring[c.ringN%fault.TraceTail] = fault.TraceEntry{Cycle: c.cycles, Base: c.base, Sym: sym}
+			c.ringN++
 			cs := &slots[slot]
-			if cs.Sig != baseSig {
+			if cs.Sig != c.baseSig {
 				// Signature miss: fallback word at base-1 (base 0 traps
 				// exactly like the memory path's fetch of word -1).
-				cycles++
-				fallbackProbes++
-				if base == 0 {
-					l.syncCompiled(cycles, dispatches, actions, streamBits, outBytes, fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN, pos, out, base, baseSig, mode, &lring)
+				c.cycles++
+				c.fallbackProbes++
+				if c.base == 0 {
+					l.syncCompiled(&c, &lring)
 					return l.trapf(fault.TrapMemOutOfWindow, "dispatch probe at word %d outside window", -1)
 				}
-				cs = &slots[base-1]
-				if cs.Sig != baseSig || (cs.Kind != core.KindMajority && cs.Kind != core.KindDefault) {
-					l.syncCompiled(cycles, dispatches, actions, streamBits, outBytes, fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN, pos, out, base, baseSig, mode, &lring)
-					return l.trapf(fault.TrapBadSignature, "no transition at base %d for symbol %d", base, sym)
+				cs = &slots[c.base-1]
+				if cs.Sig != c.baseSig || (cs.Kind != core.KindMajority && cs.Kind != core.KindDefault) {
+					l.syncCompiled(&c, &lring)
+					return l.trapf(fault.TrapBadSignature, "no transition at base %d for symbol %d", c.base, sym)
 				}
 			}
 			regs[core.RSym] = sym
 			if cs.Kind == core.KindRefill {
-				if pb := ss - cs.TakeLen; pb > 0 {
+				if pb := c.ss - cs.TakeLen; pb > 0 {
 					// Inlined stream.PutBack (clamped at the origin).
-					pos -= int64(pb)
-					if pos < 0 {
-						pos = 0
+					c.pos -= int64(pb)
+					if c.pos < 0 {
+						c.pos = 0
 					}
-					streamBits -= uint64(pb)
+					c.streamBits -= uint64(pb)
 				}
 			}
 
 			if cs.Flags&compile.FlagFused != 0 {
 				// Fused chain: static bulk charge, then the single-op
 				// specializations or the flat micro-op loop.
-				cycles += uint64(cs.Cost)
-				actions += uint64(cs.Cost)
+				c.cycles += uint64(cs.Cost)
+				c.actions += uint64(cs.Cost)
 				switch cs.Spec {
 				case compile.SpecOut8:
-					out = append(out, byte(regs[cs.A&0xF]))
-					outBytes++
+					c.out = append(c.out, byte(regs[cs.A&0xF]))
+					c.outBytes++
 				case compile.SpecOutI:
-					out = append(out, byte(cs.Imm))
-					outBytes++
+					c.out = append(c.out, byte(cs.Imm))
+					c.outBytes++
 				default:
 					for _, op := range cs.Ops {
 						switch op.Code {
@@ -374,70 +373,70 @@ func (l *Lane) runCompiled(maxCycles uint64) error {
 						case core.OpMax:
 							regs[op.Dst&0xF] = max(regs[op.Ref&0xF], regs[op.Src&0xF])
 						case core.OpOut8:
-							out = append(out, byte(regs[op.Src&0xF]))
-							outBytes++
+							c.out = append(c.out, byte(regs[op.Src&0xF]))
+							c.outBytes++
 						case core.OpOut16:
 							v := regs[op.Src&0xF]
-							out = append(out, byte(v), byte(v>>8))
-							outBytes += 2
+							c.out = append(c.out, byte(v), byte(v>>8))
+							c.outBytes += 2
 						case core.OpOut32:
 							v := regs[op.Src&0xF]
-							out = append(out, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-							outBytes += 4
+							c.out = append(c.out, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+							c.outBytes += 4
 						case core.OpOutI:
-							out = append(out, byte(op.Imm))
-							outBytes++
+							c.out = append(c.out, byte(op.Imm))
+							c.outBytes++
 						case core.OpEmitBits:
-							l.out, l.stats.OutBytes = out, outBytes
+							l.out, l.stats.OutBytes = c.out, c.outBytes
 							l.emitBits(regs[op.Src&0xF], uint(op.Imm&31))
-							out, outBytes = l.out, l.stats.OutBytes
+							c.out, c.outBytes = l.out, l.stats.OutBytes
 						case core.OpEmitBitsR:
-							l.out, l.stats.OutBytes = out, outBytes
+							l.out, l.stats.OutBytes = c.out, c.outBytes
 							l.emitBits(regs[op.Src&0xF], uint(regs[op.Ref&0xF]&31))
-							out, outBytes = l.out, l.stats.OutBytes
+							c.out, c.outBytes = l.out, l.stats.OutBytes
 						case core.OpFlushBits:
 							if l.bitN > 0 {
-								l.out, l.stats.OutBytes = out, outBytes
+								l.out, l.stats.OutBytes = c.out, c.outBytes
 								l.emitBits(0, 8-l.bitN%8)
-								out, outBytes = l.out, l.stats.OutBytes
+								c.out, c.outBytes = l.out, l.stats.OutBytes
 							}
 						case core.OpSetSS:
-							ss = uint8(op.Imm)
-							l.ss = ss
+							c.ss = uint8(op.Imm)
+							l.ss = c.ss
 							l.stats.SetSSOps++
 						case core.OpPutBack:
-							pos -= int64(uint8(op.Imm))
-							if pos < 0 {
-								pos = 0
+							c.pos -= int64(uint8(op.Imm))
+							if c.pos < 0 {
+								c.pos = 0
 							}
-							streamBits -= uint64(op.Imm)
+							c.streamBits -= uint64(op.Imm)
 						case core.OpPutBackR:
 							v := regs[op.Src&0xF]
-							pos -= int64(uint8(v))
-							if pos < 0 {
-								pos = 0
+							c.pos -= int64(uint8(v))
+							if c.pos < 0 {
+								c.pos = 0
 							}
-							streamBits -= uint64(v)
+							c.streamBits -= uint64(v)
 						case core.OpRead:
-							stream.pos = pos
+							stream.pos = c.pos
 							regs[op.Dst&0xF] = stream.Take(uint8(op.Imm))
-							pos = stream.pos
-							streamBits += uint64(op.Imm)
+							c.pos = stream.pos
+							c.streamBits += uint64(op.Imm)
 						case core.OpSetBase:
 							l.memBase = regs[op.Src&0xF] + op.Imm
 						case core.OpHash:
 							shift := 32 - op.Imm&31
 							regs[op.Dst&0xF] = regs[op.Src&0xF] * 0x1e35a7bd >> shift
 						case core.OpAccept:
-							l.matches = append(l.matches, Match{PatternID: int32(op.Imm), BitPos: pos})
+							l.matches = append(l.matches, Match{PatternID: int32(op.Imm), BitPos: c.pos})
 						case core.OpHalt:
-							halted = true
+							c.halted = true
 							l.halted = true
 							l.exit = int32(op.Imm)
 						default:
 							// Unreachable: lowerAction admits only the cases
 							// above. Mirror the interpreter's diagnostics.
-							l.syncCompiled(cycles, dispatches, actions, streamBits, outBytes, fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN, pos, out, base, baseSig, mode, &lring)
+							l.syncCompiled(&c, &lring)
 							return l.trapf(fault.TrapBadSignature, "unimplemented opcode %s", op.Code)
 						}
 					}
@@ -446,7 +445,7 @@ func (l *Lane) runCompiled(maxCycles uint64) error {
 				// Slow chain: the interpreter's action machinery keeps
 				// traps, dynamic costs and self-modification tracking
 				// bit-identical.
-				l.syncCompiled(cycles, dispatches, actions, streamBits, outBytes, fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN, pos, out, base, baseSig, mode, &lring)
+				l.syncCompiled(&c, &lring)
 				var err error
 				if cs.ChainIdx >= 0 {
 					err = l.execChainDecoded(int(cs.ChainAddr), l.dec.Chains[cs.ChainIdx])
@@ -456,13 +455,8 @@ func (l *Lane) runCompiled(maxCycles uint64) error {
 				if err != nil {
 					return err
 				}
-				cycles, dispatches = l.stats.Cycles, l.stats.Dispatches
-				actions, streamBits, outBytes = l.stats.Actions, l.stats.StreamBits, l.stats.OutBytes
-				fallbackProbes, defaultHops = l.stats.FallbackProbes, l.stats.DefaultHops
-				progressMark, stall, pos = l.progressMark, l.stall, stream.pos
-				stopCheck, ringN, ss = l.stopCheck, l.ringN, l.ss
-				out = l.out
-				halted, decOK, memRefs = l.halted, l.decOK, l.stats.MemRefs
+				// The chain cannot move base, baseSig or mode.
+				c = l.loadCompiled()
 				if l.cb != 0 {
 					// The chain moved the code base: every precomputed
 					// NextBase is now stale. Resolve this transition the
@@ -470,23 +464,23 @@ func (l *Lane) runCompiled(maxCycles uint64) error {
 					// run to the interpreter loop (whose dispatch applies
 					// cb on every hop).
 					nb := int(l.cb) + int(cs.NextBase)
-					base, baseSig, mode = nb, effclip.Sig(nb), cs.NextMode
+					c.base, c.baseSig, c.mode = nb, effclip.Sig(nb), cs.NextMode
 					if cs.Kind != core.KindDefault {
-						l.syncCompiled(cycles, dispatches, actions, streamBits, outBytes, fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN, pos, out, base, baseSig, mode, &lring)
+						l.syncCompiled(&c, &lring)
 						return l.runSingle(maxCycles)
 					}
-					defaultHops++
-					if mode != core.ModeStream {
-						l.syncCompiled(cycles, dispatches, actions, streamBits, outBytes, fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN, pos, out, base, baseSig, mode, &lring)
-						return l.trapf(fault.TrapBadSignature, "default transition into non-stream state at base %d", base)
+					c.defaultHops++
+					if c.mode != core.ModeStream {
+						l.syncCompiled(&c, &lring)
+						return l.trapf(fault.TrapBadSignature, "default transition into non-stream state at base %d", c.base)
 					}
-					if halted {
+					if c.halted {
 						break dispatch
 					}
 					// A default re-dispatch reuses the current symbol; the
 					// memory dispatcher finishes this hop before the
 					// interpreter loop takes over.
-					l.syncCompiled(cycles, dispatches, actions, streamBits, outBytes, fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN, pos, out, base, baseSig, mode, &lring)
+					l.syncCompiled(&c, &lring)
 					if err := l.dispatchMem(sym, hop+1); err != nil {
 						return err
 					}
@@ -494,24 +488,24 @@ func (l *Lane) runCompiled(maxCycles uint64) error {
 				}
 			}
 
-			base = int(cs.NextBase)
-			baseSig = cs.NextSig
-			mode = cs.NextMode
+			c.base = int(cs.NextBase)
+			c.baseSig = cs.NextSig
+			c.mode = cs.NextMode
 			if cs.Kind != core.KindDefault {
 				break dispatch
 			}
 			// Default: re-dispatch the same symbol at the target state.
-			defaultHops++
-			if mode != core.ModeStream {
-				l.syncCompiled(cycles, dispatches, actions, streamBits, outBytes, fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN, pos, out, base, baseSig, mode, &lring)
-				return l.trapf(fault.TrapBadSignature, "default transition into non-stream state at base %d", base)
+			c.defaultHops++
+			if c.mode != core.ModeStream {
+				l.syncCompiled(&c, &lring)
+				return l.trapf(fault.TrapBadSignature, "default transition into non-stream state at base %d", c.base)
 			}
-			if halted {
+			if c.halted {
 				break dispatch
 			}
 		}
 	}
-	l.syncCompiled(cycles, dispatches, actions, streamBits, outBytes, fallbackProbes, defaultHops, progressMark, stall, stopCheck, ringN, pos, out, base, baseSig, mode, &lring)
+	l.syncCompiled(&c, &lring)
 	return nil
 }
 

@@ -47,7 +47,7 @@ type Lane struct {
 	load []byte // img.LoadWindow(): the load-time window, shared and read-only
 
 	// Predecoded code cache (shared read-only across every lane running
-	// the image). decOn is the user switch (SetDecoded); decOK is the live
+	// the image). decOn is the user switch (SetEngine); decOK is the live
 	// gate: it drops to false when a store touches the code window, so a
 	// self-modifying program falls back to the memory-word interpreter for
 	// the rest of the run and stays bit-identical. Reset re-arms it (the
@@ -165,19 +165,6 @@ func NewLane(img *effclip.Image, banks int) (*Lane, error) {
 	l.dirtyLo, l.dirtyHi = len(l.mem), 0
 	l.Reset()
 	return l, nil
-}
-
-// SetDecoded switches between the predecoded interpreter and the
-// memory-word reference interpreter: SetDecoded(true) is
-// SetEngine(EngineDecoded) and SetDecoded(false) is
-// SetEngine(EngineInterp). The differential tests rely on this switch;
-// SetEngine is the general form.
-func (l *Lane) SetDecoded(on bool) {
-	if on {
-		l.SetEngine(EngineDecoded)
-	} else {
-		l.SetEngine(EngineInterp)
-	}
 }
 
 // Decoding reports whether the lane is currently executing from the

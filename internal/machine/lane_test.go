@@ -361,34 +361,6 @@ func TestSplitBytesReassembles(t *testing.T) {
 	}
 }
 
-// TestRunParallel runs the identity program across lanes and checks
-// aggregation.
-func TestRunParallel(t *testing.T) {
-	p := core.NewProgram("copy", 8)
-	s := p.AddState("s", core.ModeStream)
-	s.Majority(s, core.AOut8(core.RSym))
-	im := mustLayout(t, p)
-	data := bytes.Repeat([]byte("0123456789"), 100)
-	shards := SplitBytes(data, 8)
-	res, err := RunParallel(im, shards, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.InputBytes != len(data) {
-		t.Fatalf("input bytes %d", res.InputBytes)
-	}
-	var joined []byte
-	for _, o := range res.Outputs {
-		joined = append(joined, o...)
-	}
-	if !bytes.Equal(joined, data) {
-		t.Fatal("parallel outputs do not reassemble input")
-	}
-	if res.Rate() <= 0 {
-		t.Fatal("rate must be positive")
-	}
-}
-
 func TestTraceOutput(t *testing.T) {
 	p := core.NewProgram("tr", 8)
 	s := p.AddState("s", core.ModeStream)

@@ -3,7 +3,7 @@
 // in the spirit of the paper's ETL serving scenario (Section 5.3) — the
 // machine keeps at most MaxLanes(img) lanes resident and streams work
 // through them, instead of requiring one lane per shard and the whole input
-// in memory the way machine.RunParallel does.
+// in memory.
 //
 // The lanes a run simulates are separate from the host goroutines that
 // execute it. A run simulates up to MaxLanes(img) lanes but executes on at
@@ -284,14 +284,27 @@ type Config struct {
 	Sink func(shard int, out []byte) error
 }
 
-// Result aggregates a streaming run. It embeds machine.RunResult so
-// existing consumers (Rate, LaneLogicJoules, Outputs, Matches) carry over;
-// Cycles is the makespan of the list schedule over Lanes simulated lanes —
-// shards in stream order, each to the lane with the fewest accumulated
-// cycles, only successful attempts charged — so Rate() reflects the
-// time-multiplexed schedule and is the same on every host.
+// Result aggregates a streaming run.
 type Result struct {
-	machine.RunResult
+	// Lanes is the number of simulated lanes the makespan is scheduled
+	// over.
+	Lanes int
+	// BanksPerLane is each lane's local-memory allotment.
+	BanksPerLane int
+	// Cycles is the makespan of the list schedule over Lanes simulated
+	// lanes — shards in stream order, each to the lane with the fewest
+	// accumulated cycles, only successful attempts charged — so it, and
+	// Rate(), are the same on every host.
+	Cycles uint64
+	// Total accumulates every shard's lane counters.
+	Total machine.Stats
+	// InputBytes is the total bytes streamed across shards.
+	InputBytes int
+	// Outputs are the per-shard outputs in shard order (nil for shards
+	// handed to a Sink or skipped under CollectErrors).
+	Outputs [][]byte
+	// Matches are the per-shard accept logs in shard order.
+	Matches [][]machine.Match
 	// Shards is the number of shards pulled from the source.
 	Shards int
 	// Errors holds per-shard failures under CollectErrors (empty under
@@ -309,6 +322,10 @@ type Result struct {
 	// Wall is the host wall-clock duration of the whole run.
 	Wall time.Duration
 }
+
+// Rate returns the aggregate throughput in MB/s (total input bytes over the
+// makespan).
+func (r *Result) Rate() float64 { return machine.RateMBps(r.InputBytes, r.Cycles) }
 
 // Output concatenates the per-shard outputs in shard order.
 func (r *Result) Output() []byte {
@@ -400,8 +417,8 @@ func Run(ctx context.Context, img *effclip.Image, src Source, cfg Config) (*Resu
 		// clock makes every Add a no-op, so unserved runs pay one branch.
 		clock: obs.StagesFromContext(ctx),
 	}
-	s.res.RunResult.Lanes = lanes
-	s.res.RunResult.BanksPerLane = img.Banks()
+	s.res.Lanes = lanes
+	s.res.BanksPerLane = img.Banks()
 	s.sinkMoved.L = &s.mu
 
 	// Shard buffers flow back to a recycling source once finally resolved
@@ -425,9 +442,18 @@ func Run(ctx context.Context, img *effclip.Image, src Source, cfg Config) (*Resu
 	go s.produce()
 	s.wg.Wait()
 
-	// Outputs still parked when a run dies early were never delivered.
+	// A run that dies early leaves shards queued that never ran, outputs
+	// parked that were never delivered, and the source's carry-over.
+	// Everything that sends on the queue is counted in wg, so the queue is
+	// quiet now.
+	for len(s.queue) > 0 {
+		s.recycleShard((<-s.queue).data)
+	}
 	for _, p := range s.pending {
 		mem.Put(p.out)
+	}
+	if r, ok := src.(releaser); ok {
+		r.release()
 	}
 
 	if s.runErr != nil {
@@ -512,6 +538,43 @@ func (s *runState) watchStop() {
 	s.mu.Lock()
 	s.sinkMoved.Broadcast()
 	s.mu.Unlock()
+}
+
+// recycleShard hands a shard buffer that no lane will read again back to a
+// recycling source.
+func (s *runState) recycleShard(data []byte) {
+	if s.recycle != nil {
+		s.recycle.Recycle(data)
+	}
+}
+
+// retryLater re-enqueues next after its backoff d. The waiting goroutine
+// counts in wg and gives up on cancellation, so Run neither outlives it nor
+// misses a shard it queued. The shard's inflight hold carries over to the
+// re-enqueue, so the queue stays open until it is delivered or the run
+// dies.
+func (s *runState) retryLater(next workItem, d time.Duration) {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		t := time.NewTimer(d)
+		defer t.Stop()
+		select {
+		case <-t.C:
+			next.enq = time.Now()
+			select {
+			case s.queue <- next:
+				return
+			case <-s.ctx.Done():
+			}
+		case <-s.ctx.Done():
+		}
+		s.recycleShard(next.data)
+		s.mu.Lock()
+		s.inflight--
+		s.maybeClose()
+		s.mu.Unlock()
+	}()
 }
 
 // maybeClose runs with mu held. The queue closes only when the producer is
@@ -631,6 +694,7 @@ func (s *runState) produce() {
 			}
 			s.mu.Unlock()
 		case <-s.ctx.Done():
+			s.recycleShard(shard)
 			s.mu.Lock()
 			s.inflight--
 			s.mu.Unlock()
@@ -672,12 +736,14 @@ func (s *runState) worker(w int) {
 			// A cancelled run drops still-queued shards so the
 			// cancel is observed within one shard boundary.
 			if s.ctx.Err() != nil {
+				s.recycleShard(it.data)
 				return
 			}
 			if lane == nil {
 				var err error
 				lane, err = machine.NewLane(s.img, 0)
 				if err != nil {
+					s.recycleShard(it.data)
 					s.mu.Lock()
 					s.fail(err)
 					s.mu.Unlock()
@@ -722,6 +788,7 @@ func (s *runState) worker(w int) {
 				// is abandoned and Run reports the context error.
 				sp.SetAttr("interrupted", true)
 				sp.End()
+				s.recycleShard(it.data)
 				return
 			}
 			tr := fault.AsTrap(err)
@@ -765,27 +832,10 @@ func (s *runState) worker(w int) {
 					s.res.Faults = append(s.res.Faults, rec)
 					if retry {
 						s.res.Retries++
-						next := workItem{
+						s.retryLater(workItem{
 							idx: it.idx, data: it.data,
 							attempt: it.attempt + 1, prev: rec.Backoff,
-						}
-						// The shard's inflight hold carries over to
-						// the re-enqueue, so the queue stays open
-						// until the timer delivers or the run dies.
-						time.AfterFunc(rec.Backoff, func() {
-							next.enq = time.Now()
-							select {
-							case s.queue <- next:
-							case <-s.ctx.Done():
-								if s.recycle != nil {
-									s.recycle.Recycle(next.data)
-								}
-								s.mu.Lock()
-								s.inflight--
-								s.maybeClose()
-								s.mu.Unlock()
-							}
-						})
+						}, rec.Backoff)
 					}
 				}
 				if !ev.Retried {
@@ -799,9 +849,7 @@ func (s *runState) worker(w int) {
 					} else {
 						s.fail(ShardError{Shard: it.idx, Err: err})
 					}
-					if s.recycle != nil {
-						s.recycle.Recycle(it.data)
-					}
+					s.recycleShard(it.data)
 					s.inflight--
 					s.maybeClose()
 				}
@@ -814,9 +862,7 @@ func (s *runState) worker(w int) {
 					s.setSlot(it.idx, out, m, len(it.data), st.Cycles)
 				}
 				s.total.Add(st)
-				if s.recycle != nil {
-					s.recycle.Recycle(it.data)
-				}
+				s.recycleShard(it.data)
 				s.inflight--
 				s.maybeClose()
 			}

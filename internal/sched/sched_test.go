@@ -87,8 +87,8 @@ func TestStreamsManyMoreShardsThanLanes(t *testing.T) {
 	if res.Shards < 4*limit {
 		t.Fatalf("want >= %d shards streamed over %d lanes, got %d", 4*limit, limit, res.Shards)
 	}
-	if res.RunResult.Lanes != limit {
-		t.Fatalf("pool size %d, want MaxLanes %d", res.RunResult.Lanes, limit)
+	if res.Lanes != limit {
+		t.Fatalf("pool size %d, want MaxLanes %d", res.Lanes, limit)
 	}
 	if got := res.Output(); !bytes.Equal(got, data) {
 		t.Fatalf("reassembled output differs from input: %d vs %d bytes", len(got), len(data))

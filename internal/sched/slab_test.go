@@ -310,3 +310,102 @@ func TestRecordsBoundariesIgnoreReadShape(t *testing.T) {
 		}
 	}
 }
+
+// TestStoppedRunsBalanceSlabs: a run over a recycling source (Records or
+// Chunks) that stops early — cancelled mid-body, with or without retries
+// backing off, or failed fast by a trap — hands back every chunker and
+// sink slab it took: the shard a worker dequeued after the cancel, the
+// shard an interrupted lane was running, the shards still queued, a shard
+// waiting out its retry backoff, the shard the producer held, and the
+// chunker's carry-over.
+func TestStoppedRunsBalanceSlabs(t *testing.T) {
+	private := memsys.New(memsys.Config{})
+	shared := mem
+	mem = private
+	defer func() { mem = shared }()
+
+	var rows bytes.Buffer
+	for i := 0; rows.Len() < 4<<20; i++ {
+		fmt.Fprintf(&rows, "row-%d,%d,%d\n", i, i*i, i%7)
+	}
+	discard := func(int, []byte) error { return nil }
+	scenarios := []struct {
+		name string
+		run  func(t *testing.T, round int) error
+		want []error // the run ends with one of these
+	}{
+		{"cancelled at shard 50", func(t *testing.T, _ int) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			_, err := Run(ctx, echoImage(t), Records(bytes.NewReader(rows.Bytes()), 4096, '\n'),
+				Config{Lanes: 4, Sink: discard, Setup: func(_ *machine.Lane, shard int) error {
+					if shard == 50 {
+						cancel()
+					}
+					return nil
+				}})
+			return err
+		}, []error{context.Canceled}},
+		{"failed fast by a trap", func(t *testing.T, round int) error {
+			_, err := Run(context.Background(), echoImage(t), Records(bytes.NewReader(rows.Bytes()), 4096, '\n'),
+				Config{Lanes: 4, Sink: discard, Inject: &fault.Injector{
+					Seed: uint64(round), Rates: map[fault.Kind]float64{fault.TrapCycleBudget: 0.02}}})
+			return err
+		}, []error{fault.TrapCycleBudget}},
+		{"chunks cancelled at shard 50", func(t *testing.T, _ int) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			_, err := Run(ctx, echoImage(t), Chunks(bytes.NewReader(rows.Bytes()), 4096),
+				Config{Lanes: 4, Sink: discard, Setup: func(_ *machine.Lane, shard int) error {
+					if shard == 50 {
+						cancel()
+					}
+					return nil
+				}})
+			return err
+		}, []error{context.Canceled}},
+		{"chunks failed fast by a trap", func(t *testing.T, round int) error {
+			_, err := Run(context.Background(), echoImage(t), Chunks(bytes.NewReader(rows.Bytes()), 4096),
+				Config{Lanes: 4, Sink: discard, Inject: &fault.Injector{
+					Seed: uint64(round), Rates: map[fault.Kind]float64{fault.TrapCycleBudget: 0.02}}})
+			return err
+		}, []error{fault.TrapCycleBudget}},
+		// A shard that traps after the cancel is not retried, and its
+		// failure may end the run before the cancel does.
+		{"cancelled with retries backing off", func(t *testing.T, round int) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			_, err := Run(ctx, echoImage(t), Records(bytes.NewReader(rows.Bytes()), 4096, '\n'),
+				Config{Lanes: 4, Sink: discard,
+					Inject: &fault.Injector{
+						Seed: uint64(round), Rates: map[fault.Kind]float64{fault.TrapCycleBudget: 0.1}},
+					Retry: RetryPolicy{Max: 8, Backoff: 5 * time.Millisecond,
+						RetryableTraps: []fault.Kind{fault.TrapCycleBudget}},
+					Setup: func(_ *machine.Lane, shard int) error {
+						if shard == 50 {
+							cancel()
+						}
+						return nil
+					}})
+			return err
+		}, []error{context.Canceled, fault.TrapCycleBudget}},
+	}
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			for round := 0; round < 20; round++ {
+				err := sc.run(t, round)
+				ok := false
+				for _, want := range sc.want {
+					ok = ok || errors.Is(err, want)
+				}
+				if !ok {
+					t.Fatalf("round %d: err = %v, want one of %v", round, err, sc.want)
+				}
+				if n := outstanding(private); n != 0 {
+					t.Fatalf("round %d: %d chunker/sink slabs not returned", round, n)
+				}
+			}
+		})
+	}
+	private.Close()
+}

@@ -1,9 +1,9 @@
 // Shard sources for the executor: a Source yields the shards a run
-// streams through the lane pool. Slice adapts pre-sharded inputs (the
-// RunParallel compatibility path); Records and Chunks generalize the
-// one-shot SplitRecords/SplitBytes helpers to unbounded io.Reader inputs,
-// in the style of streaming chunked execution — the whole input never has
-// to be resident, and a shard is cut so no record straddles two lanes.
+// streams through the lane pool. Slice adapts pre-sharded inputs; Records
+// and Chunks generalize the one-shot SplitRecords/SplitBytes helpers to
+// unbounded io.Reader inputs, in the style of streaming chunked execution
+// — the whole input never has to be resident, and a shard is cut so no
+// record straddles two lanes.
 package sched
 
 import (
@@ -32,6 +32,13 @@ type Source interface {
 // deliberately does not implement it: those shards belong to the caller.
 type Recycler interface {
 	Recycle(buf []byte)
+}
+
+// releaser is implemented by a source that holds a pooled buffer between
+// shards: Run releases it once the run is over, drained or not. A released
+// source yields io.EOF.
+type releaser interface {
+	release()
 }
 
 // Slice adapts an in-memory shard list to a Source.
@@ -129,6 +136,12 @@ type recordSource struct {
 
 // Recycle accepts a finished shard buffer back into the pool.
 func (s *recordSource) Recycle(buf []byte) { s.pool.put(buf) }
+
+// release hands the carry-over buffer back to the pool.
+func (s *recordSource) release() {
+	s.pool.put(s.rest)
+	s.rest, s.done = nil, true
+}
 
 func (s *recordSource) Next() ([]byte, error) {
 	for {

@@ -66,8 +66,6 @@ type (
 	Stats = machine.Stats
 	// Match is an accept event.
 	Match = machine.Match
-	// RunResult aggregates a parallel run.
-	RunResult = machine.RunResult
 	// LaneSetup customizes a lane before it runs a shard.
 	LaneSetup = machine.LaneSetup
 	// Engine selects a lane execution tier (see the Engine* constants).
@@ -101,8 +99,9 @@ func ParseEngine(s string) (Engine, error) { return machine.ParseEngine(s) }
 
 // Executor types (see internal/sched for full docs).
 type (
-	// ExecResult aggregates a streaming Exec run; it embeds RunResult and
-	// adds shard count, collected shard errors and queue telemetry.
+	// ExecResult aggregates a streaming Exec run: the makespan, counters
+	// and per-shard outputs, plus shard count, collected shard errors and
+	// queue telemetry.
 	ExecResult = sched.Result
 	// ShardEvent is one per-shard observability record delivered to the
 	// WithStatsHook callback.
@@ -183,8 +182,7 @@ const (
 	CollectErrors = sched.CollectErrors
 )
 
-// Typed argument errors. Exec, ExecShards, ExecSource, Run and RunParallel
-// return these (test with errors.Is) instead of panicking deep in the
+// Typed argument errors. Exec, ExecShards and ExecSource return these (test with errors.Is) instead of panicking deep in the
 // machine when handed a nil image or source.
 var (
 	// ErrNilImage reports a nil *Image argument.
