@@ -90,6 +90,9 @@ func main() {
 	}
 
 	progMix, err := load.ParseMix(*programs)
+	if err == nil {
+		err = load.CheckPrograms(progMix)
+	}
 	if err != nil {
 		fatalUsage(err)
 	}

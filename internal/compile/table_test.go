@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"testing"
 
+	"udp/internal/builtins"
 	"udp/internal/compile"
 	"udp/internal/core"
 	"udp/internal/effclip"
 	"udp/internal/kernels/csvparse"
 	"udp/internal/kernels/histogram"
-	"udp/internal/kernels/jsonparse"
-	"udp/internal/kernels/xmlparse"
 )
 
 // effect is what a run of dispatches charges and leaves behind.
@@ -147,10 +146,11 @@ func memHistogram() *core.Program {
 // for, run one at a time through Program.Slots: next row, cycles, actions,
 // probes, output bytes and register writes.
 func TestTableEntries(t *testing.T) {
-	for _, prog := range []*core.Program{
-		csvparse.BuildProgram(), csvparse.BuildProgramSep('|'), jsonparse.BuildProgram(),
-		xmlparse.BuildProgram(), histogram16(), memHistogram(), echoProgram(),
-	} {
+	progs := []*core.Program{memHistogram()}
+	for _, b := range builtins.All() {
+		progs = append(progs, b.Build())
+	}
+	for _, prog := range progs {
 		t.Run(prog.Name, func(t *testing.T) {
 			_, cp := lower(t, prog)
 			tab := cp.Table
@@ -190,7 +190,7 @@ func rowOf(t *testing.T, im *effclip.Image, tab *compile.Table, state string) in
 }
 
 func TestEchoCopyRow(t *testing.T) {
-	im, cp := lower(t, echoProgram())
+	im, cp := lower(t, builtins.Program("echo"))
 	tab := cp.Table
 	if r := rowOf(t, im, tab, "s"); len(tab.Rows) != 1 || !tab.Rows[r].Copy {
 		t.Fatalf("echo rows %+v, want one copy row", tab.Rows)
@@ -248,7 +248,7 @@ func TestCSVFieldBodyStays(t *testing.T) {
 // the key through common states, so a skip row with at least two hops left
 // steps the same for every byte.
 func TestHistogramSkipRows(t *testing.T) {
-	im, cp := lower(t, histogram16())
+	im, cp := lower(t, builtins.Program("histogram16"))
 	tab := cp.Table
 	if tab.W != 4 || tab.K != 2 || tab.Exits != 0 {
 		t.Fatalf("histogram16e table: W %d K %d exits %d, want 4, 2 and 0", tab.W, tab.K, tab.Exits)

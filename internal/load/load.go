@@ -26,12 +26,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"udp/internal/builtins"
 	"udp/internal/client"
-	"udp/internal/etl"
-	"udp/internal/kernels/histogram"
 	"udp/internal/memsys"
 	"udp/internal/obs"
-	"udp/internal/workload"
 )
 
 // Mix is one weighted choice in a program or engine mix.
@@ -71,15 +69,6 @@ func ParseMix(s string) ([]Mix, error) {
 	return out, nil
 }
 
-// FormatMix renders a mix in ParseMix's format.
-func FormatMix(m []Mix) string {
-	parts := make([]string, len(m))
-	for i, x := range m {
-		parts[i] = fmt.Sprintf("%s=%d", x.Name, x.Weight)
-	}
-	return strings.Join(parts, ",")
-}
-
 // pickMix draws one weighted name.
 func pickMix(m []Mix, rng *rand.Rand) string {
 	total := 0
@@ -112,7 +101,7 @@ type Config struct {
 	Duration time.Duration
 	// Requests stops after this many total requests (0 = until Duration).
 	Requests int
-	// Programs is the weighted program mix, e.g. csvpipe=3,echo=1.
+	// Programs is the weighted mix of builtin programs, e.g. csvpipe=3,echo=1.
 	Programs []Mix
 	// Engines optionally pins a weighted X-Udp-Engine mix ("auto",
 	// "interp", "decoded", "compiled"). Empty = server default.
@@ -138,13 +127,6 @@ type Config struct {
 	ReportEvery time.Duration
 	// ReportTo receives live progress lines (nil = none).
 	ReportTo io.Writer
-	// Payload overrides the builtin corpus: called once per corpus slot
-	// with the drawn size. Nil = builtin per-program generators.
-	Payload func(program string, size int, rng *rand.Rand) []byte
-	// Validate, when non-nil, checks each successful response body (the
-	// loader then buffers bodies instead of discarding them). A failure
-	// counts as class "bad-output".
-	Validate func(program string, got []byte) error
 	// HTTP overrides the pooled transport (nil = a transport sized to
 	// Workers).
 	HTTP *http.Client
@@ -161,6 +143,9 @@ func (cfg *Config) defaults() error {
 	}
 	if len(cfg.Programs) == 0 {
 		return fmt.Errorf("load: Config.Programs required (e.g. csvpipe=1)")
+	}
+	if err := CheckPrograms(cfg.Programs); err != nil {
+		return err
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 8
@@ -179,6 +164,17 @@ func (cfg *Config) defaults() error {
 	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 30 * time.Second
+	}
+	return nil
+}
+
+// CheckPrograms rejects a program mix naming anything but a builtin kernel:
+// the loader generates payloads only for the builtins.
+func CheckPrograms(m []Mix) error {
+	for _, x := range m {
+		if _, ok := builtins.Lookup(x.Name); !ok {
+			return fmt.Errorf("load: no builtin payload for program %q (builtins: %s)", x.Name, builtins.Names())
+		}
 	}
 	return nil
 }
@@ -208,16 +204,8 @@ func buildCorpus(cfg *Config) (map[string][]corpusEntry, error) {
 			if cfg.SizeMax > cfg.SizeMin {
 				size += rng.IntN(cfg.SizeMax - cfg.SizeMin + 1)
 			}
-			var raw []byte
-			if cfg.Payload != nil {
-				raw = cfg.Payload(m.Name, size, rng)
-			} else {
-				var err error
-				raw, err = builtinPayload(m.Name, size, cfg.Seed+int64(i))
-				if err != nil {
-					return nil, err
-				}
-			}
+			b, _ := builtins.Lookup(m.Name) // defaults checked the name
+			raw := b.Corpus(size, cfg.Seed+int64(i))
 			// Corpus payloads live in slabs from the shared manager, so
 			// successive Run invocations in one process (bench passes, soak
 			// phases) recycle the same arrays; freeCorpus returns them.
@@ -244,50 +232,6 @@ func freeCorpus(corpus map[string][]corpusEntry) {
 			mem.Put(e.gz)
 		}
 	}
-}
-
-// builtinPayload generates a representative input for one builtin server
-// kernel, cut to about size bytes on a record boundary.
-func builtinPayload(program string, size int, seed int64) ([]byte, error) {
-	if size < 64 {
-		size = 64
-	}
-	switch program {
-	case "echo":
-		return workload.Text(workload.TextEnglish, size, seed), nil
-	case "csvparse":
-		rows := size/64 + 1
-		return cutRecords(workload.CrimesCSV(workload.CSVSpec{Name: "load", Rows: rows, Seed: seed}), size, '\n'), nil
-	case "csvpipe":
-		rows := size/70 + 1
-		return cutRecords(bytes.ReplaceAll(etl.LineitemCSV(rows, seed), []byte{','}, []byte{'|'}), size, '\n'), nil
-	case "jsonparse":
-		rows := size/100 + 1
-		return cutRecords(workload.JSONRecords(rows, seed), size, '\n'), nil
-	case "xmlparse":
-		row := []byte(`<row a="1" b='x>y'><v>text &amp; more</v></row>` + "\n")
-		n := size/len(row) + 1
-		return cutRecords(bytes.Repeat(row, n), size, '\n'), nil
-	case "histogram16":
-		n := size / 8
-		if n < 1 {
-			n = 1
-		}
-		return histogram.KeyBytes(workload.FloatColumn(n, workload.DistUniform, 0, 1, seed)), nil
-	default:
-		return nil, fmt.Errorf("load: no builtin payload generator for program %q (set Config.Payload)", program)
-	}
-}
-
-// cutRecords trims data to at most max bytes ending on a sep boundary.
-func cutRecords(data []byte, max int, sep byte) []byte {
-	if len(data) <= max {
-		return data
-	}
-	if idx := bytes.LastIndexByte(data[:max], sep); idx > 0 {
-		return data[:idx+1]
-	}
-	return data[:max]
 }
 
 // slowestK is how many slowest requests the collector retains with their
@@ -668,21 +612,7 @@ func (r *runner) one(rng *rand.Rand) string {
 	)
 	rc, err := r.cli.Transform(reqCtx, program, bytes.NewReader(body), opts...)
 	if err == nil {
-		if cfg.Validate != nil {
-			var buf bytes.Buffer
-			_, readErr = io.Copy(&buf, rc)
-			bytesOut = int64(buf.Len())
-			if readErr == nil {
-				if verr := cfg.Validate(program, buf.Bytes()); verr != nil {
-					rc.Close()
-					d := time.Since(t0)
-					r.col.add(program, ClassBadOutput, 200, d, 0, 0, tm, rr)
-					return ClassBadOutput
-				}
-			}
-		} else {
-			bytesOut, readErr = io.Copy(io.Discard, rc)
-		}
+		bytesOut, readErr = io.Copy(io.Discard, rc)
 		rc.Close()
 	}
 	d := time.Since(t0)

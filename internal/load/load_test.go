@@ -246,15 +246,16 @@ func TestSLOCheckLatencyAndLeaks(t *testing.T) {
 	}
 }
 
-// TestUnknownProgramFailsFast: corpus generation must reject programs it
-// cannot synthesize payloads for, before any load is sent.
+// TestUnknownProgramFailsFast: Run must reject programs that are not
+// builtins, and so have no payload generator, before any load is sent, and
+// name the builtins it does know.
 func TestUnknownProgramFailsFast(t *testing.T) {
 	_, err := load.Run(context.Background(), load.Config{
 		Target:   "http://127.0.0.1:1",
 		Requests: 1,
 		Programs: []load.Mix{{Name: "no-such-kernel", Weight: 1}},
 	})
-	if err == nil || !strings.Contains(err.Error(), "no builtin payload") {
-		t.Fatalf("err = %v, want payload-generator error", err)
+	if err == nil || !strings.Contains(err.Error(), "no builtin payload") || !strings.Contains(err.Error(), "csvpipe") {
+		t.Fatalf("err = %v, want payload-generator error listing the builtins", err)
 	}
 }

@@ -158,7 +158,11 @@ func (r *Recipe) Validate() error {
 	if r.Load.Duration.D() <= 0 && r.Load.Requests <= 0 {
 		return fmt.Errorf("load: recipe %s: load.duration or load.requests required", r.Name)
 	}
-	if _, err := ParseMix(r.Load.Programs); err != nil {
+	programs, err := ParseMix(r.Load.Programs)
+	if err == nil {
+		err = CheckPrograms(programs)
+	}
+	if err != nil {
 		return err
 	}
 	dur := r.Load.Duration.D()

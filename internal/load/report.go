@@ -27,7 +27,6 @@ const (
 	ClassTimeout   = "timeout"
 	ClassCanceled  = "canceled"
 	ClassTruncated = "truncated"
-	ClassBadOutput = "bad-output"
 )
 
 // Classify buckets a finished request into (status, class). err is the

@@ -59,6 +59,7 @@ func TestRecipeValidateRejectsBadEvents(t *testing.T) {
 		{"no name", func(r *Recipe) { r.Name = "" }, "needs a name"},
 		{"no duration", func(r *Recipe) { r.Load.Duration = 0 }, "duration or load.requests"},
 		{"bad mix", func(r *Recipe) { r.Load.Programs = "echo=0" }, "weight"},
+		{"unknown program", func(r *Recipe) { r.Load.Programs = "echo,nope" }, "no builtin payload"},
 		{"bad action", func(r *Recipe) { r.Events = []Event{{Action: "explode"}} }, "unknown action"},
 		{"squeeze sans inflight", func(r *Recipe) { r.Events = []Event{{Action: "squeeze"}} }, "inflight > 0"},
 		{"degrade sans engine", func(r *Recipe) { r.Events = []Event{{Action: "degrade"}} }, "needs an engine"},

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"testing"
 
+	"udp/internal/builtins"
 	"udp/internal/core"
 	"udp/internal/effclip"
 	"udp/internal/encode"
@@ -28,7 +29,6 @@ import (
 	"udp/internal/kernels/histogram"
 	"udp/internal/kernels/jsonparse"
 	"udp/internal/kernels/pattern"
-	"udp/internal/kernels/xmlparse"
 	"udp/internal/machine"
 	"udp/internal/memsys"
 	"udp/internal/workload"
@@ -214,12 +214,8 @@ func refillPoison(m *memsys.Manager) {
 	}
 }
 
-func echoProgram() *core.Program {
-	p := core.NewProgram("echo", 8)
-	s := p.AddState("s", core.ModeStream)
-	s.Majority(s, core.AOut8(core.RSym))
-	return p
-}
+// echoProgram is the echo builtin: one stream state copying each symbol.
+func echoProgram() *core.Program { return builtins.Program("echo") }
 
 // TestDifferentialKernels runs every builtin kernel plus programs covering
 // the remaining dispatch kinds through all three execution tiers.
@@ -235,20 +231,14 @@ func TestDifferentialKernels(t *testing.T) {
 	}{
 		{"echo", func(t *testing.T) *core.Program { return echoProgram() },
 			workload.Text(workload.TextEnglish, 16<<10, 1)},
-		{"csvparse", func(t *testing.T) *core.Program { return csvparse.BuildProgram() }, crimes},
-		{"csvpipe", func(t *testing.T) *core.Program { return csvparse.BuildProgramSep('|') },
+		{"csvparse", func(t *testing.T) *core.Program { return builtins.Program("csvparse") }, crimes},
+		{"csvpipe", func(t *testing.T) *core.Program { return builtins.Program("csvpipe") },
 			bytes.ReplaceAll(crimes, []byte{','}, []byte{'|'})},
-		{"jsonparse", func(t *testing.T) *core.Program { return jsonparse.BuildProgram() },
+		{"jsonparse", func(t *testing.T) *core.Program { return builtins.Program("jsonparse") },
 			workload.JSONRecords(200, 3)},
-		{"xmlparse", func(t *testing.T) *core.Program { return xmlparse.BuildProgram() },
+		{"xmlparse", func(t *testing.T) *core.Program { return builtins.Program("xmlparse") },
 			bytes.Repeat([]byte(`<row a="1" b='x>y'><v>text & more</v></row>`+"\n"), 200)},
-		{"histogram16", func(t *testing.T) *core.Program {
-			p, err := histogram.BuildProgramEmit(edges)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
-		}, keys},
+		{"histogram16", func(t *testing.T) *core.Program { return builtins.Program("histogram16") }, keys},
 		{"histogram-mem", func(t *testing.T) *core.Program {
 			p, err := histogram.BuildProgram(edges)
 			if err != nil {
@@ -619,10 +609,7 @@ func laneShapes(b *testing.B) []struct {
 	prog  *core.Program
 	input []byte
 } {
-	hist, err := histogram.BuildProgramEmit(histogram.UniformEdges(16, 0, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
+	hist := builtins.Program("histogram16")
 	return []struct {
 		name  string
 		prog  *core.Program

@@ -4,12 +4,10 @@ import (
 	"sync"
 	"testing"
 
+	"udp/internal/builtins"
 	"udp/internal/core"
 	"udp/internal/effclip"
-	"udp/internal/kernels/csvparse"
 	"udp/internal/kernels/histogram"
-	"udp/internal/kernels/jsonparse"
-	"udp/internal/kernels/xmlparse"
 	"udp/internal/machine"
 )
 
@@ -27,17 +25,12 @@ var (
 // segment that steps from an ordinary row into a copy row (enterCopyProgram).
 func fuzzKernels(t *testing.T) []*effclip.Image {
 	fuzzImagesOnce.Do(func() {
-		edges := histogram.UniformEdges(16, 0, 1)
-		hist, err := histogram.BuildProgramEmit(edges)
+		incm, err := histogram.BuildProgram(builtins.HistogramEdges())
 		if err != nil {
 			panic(err)
 		}
-		incm, err := histogram.BuildProgram(edges)
-		if err != nil {
-			panic(err)
-		}
-		for _, p := range []*core.Program{echoProgram(), csvparse.BuildProgram(),
-			jsonparse.BuildProgram(), xmlparse.BuildProgram(), hist, haltProgram(),
+		for _, p := range []*core.Program{echoProgram(), builtins.Program("csvparse"),
+			builtins.Program("jsonparse"), builtins.Program("xmlparse"), builtins.Program("histogram16"), haltProgram(),
 			incm, bits2Program(), wideProgram(), commonEntryProgram(), enterCopyProgram()} {
 			im, err := effclip.Layout(p, effclip.Options{})
 			if err != nil {

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"udp/internal/builtins"
 	"udp/internal/core"
 	"udp/internal/kernels/histogram"
 	"udp/internal/machine"
@@ -110,10 +111,7 @@ func TestDifferentialRunZeroWidthChain(t *testing.T) {
 
 func TestDifferentialRunBudgets(t *testing.T) {
 	keys := histogram.KeyBytes(workload.FloatColumn(4, workload.DistUniform, 0, 1, 5))
-	hist, err := histogram.BuildProgramEmit(histogram.UniformEdges(16, 0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	hist := builtins.Program("histogram16")
 	cases := []struct {
 		name  string
 		prog  *core.Program

@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"testing"
 
+	"udp/internal/builtins"
 	"udp/internal/compile"
 	"udp/internal/core"
-	"udp/internal/kernels/csvparse"
 	"udp/internal/kernels/histogram"
-	"udp/internal/kernels/jsonparse"
-	"udp/internal/kernels/xmlparse"
 	"udp/internal/machine"
 	"udp/internal/workload"
 )
@@ -24,23 +22,18 @@ import (
 // and runs a program whose table would exceed it untabled on the compiled
 // tier, bit-identical with the others.
 func TestTableCoverage(t *testing.T) {
-	hist, err := histogram.BuildProgramEmit(histogram.UniformEdges(16, 0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name        string
-		prog        *core.Program
 		rows, bytes int
 	}{
-		{"echo", echoProgram(), 1, 2048},
-		{"csvparse", csvparse.BuildProgram(), 4, 8192},
-		{"csvpipe", csvparse.BuildProgramSep('|'), 4, 8192},
-		{"jsonparse", jsonparse.BuildProgram(), 5, 10240},
-		{"xmlparse", xmlparse.BuildProgram(), 4, 8192},
-		{"histogram16", hist, 232, 504832},
+		{"echo", 1, 2048},
+		{"csvparse", 4, 8192},
+		{"csvpipe", 4, 8192},
+		{"jsonparse", 5, 10240},
+		{"xmlparse", 4, 8192},
+		{"histogram16", 232, 504832},
 	} {
-		cp, err := compile.For(layout(t, tc.prog))
+		cp, err := compile.For(layout(t, builtins.Program(tc.name)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,10 +82,7 @@ func TestDifferentialTableBudgets(t *testing.T) {
 	s := slow.AddState("s", core.ModeStream)
 	s.On('#', s, core.ASt8(core.R2, core.RSym, 0))
 	s.Majority(s, core.AOut8(core.RSym))
-	hist, err := histogram.BuildProgramEmit(histogram.UniformEdges(16, 0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	hist := builtins.Program("histogram16")
 	for _, tc := range []struct {
 		name          string
 		prog          *core.Program

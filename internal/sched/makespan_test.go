@@ -5,9 +5,9 @@ import (
 	"context"
 	"testing"
 
+	"udp/internal/builtins"
 	"udp/internal/effclip"
 	"udp/internal/etl"
-	"udp/internal/kernels/csvparse"
 	"udp/internal/sched"
 )
 
@@ -16,7 +16,7 @@ import (
 // with go test -cpu 1,2,8: how many host workers execute the shards, and
 // which of them dequeues which shard, must not show in Result.Cycles.
 func TestMakespanDeterministic(t *testing.T) {
-	im, err := effclip.Layout(csvparse.BuildProgramSep('|'), effclip.Options{})
+	im, err := effclip.Layout(builtins.Program("csvpipe"), effclip.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

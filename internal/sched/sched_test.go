@@ -13,18 +13,16 @@ import (
 	"testing/iotest"
 	"time"
 
+	"udp/internal/builtins"
 	"udp/internal/core"
 	"udp/internal/effclip"
 	"udp/internal/machine"
 )
 
-// echoImage compiles a one-state program that copies every symbol through.
+// echoImage lays out the echo builtin, which copies every symbol through.
 func echoImage(t *testing.T) *effclip.Image {
 	t.Helper()
-	p := core.NewProgram("echo", 8)
-	s := p.AddState("s", core.ModeStream)
-	s.Majority(s, core.AOut8(core.RSym))
-	im, err := effclip.Layout(p, effclip.Options{})
+	im, err := effclip.Layout(builtins.Program("echo"), effclip.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"udp"
+	"udp/internal/builtins"
 	"udp/internal/client"
 	"udp/internal/etl"
 	"udp/internal/kernels/csvparse"
@@ -65,7 +66,7 @@ func TestCyclesTrailerDeterministic(t *testing.T) {
 	body := etl.LineitemCSV(20000, 20170101)
 	body = body[:bytes.LastIndexByte(body[:2<<20], '\n')+1]
 
-	im, err := udp.Compile(csvparse.BuildProgramSep('|'))
+	im, err := udp.Compile(builtins.Program("csvpipe"))
 	if err != nil {
 		t.Fatal(err)
 	}

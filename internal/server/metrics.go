@@ -256,13 +256,6 @@ func (m *Metrics) MemShed() {
 	m.mu.Unlock()
 }
 
-// MemSheds reads the pressure-shed counter (test hook).
-func (m *Metrics) MemSheds() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.memSheds
-}
-
 func sortedKeys[V any](mm map[string]V) []string {
 	keys := make([]string, 0, len(mm))
 	for k := range mm {

@@ -15,30 +15,12 @@ import (
 	"sync"
 
 	"udp"
-	"udp/internal/core"
-	"udp/internal/kernels/csvparse"
-	"udp/internal/kernels/histogram"
-	"udp/internal/kernels/jsonparse"
-	"udp/internal/kernels/xmlparse"
+	"udp/internal/builtins"
 )
 
 // DefaultCachePrograms bounds the POSTed-program cache when Options leaves
 // it zero.
 const DefaultCachePrograms = 64
-
-// ChunkSpec tells the transform endpoint how to shard a request body for a
-// program.
-type ChunkSpec struct {
-	// Sep is the record separator for record-aligned chunking (no record
-	// straddles two lanes); only meaningful when HasSep is set.
-	Sep byte
-	// HasSep selects record-aligned chunking; false means fixed-size
-	// shards.
-	HasSep bool
-	// Align, when positive, rounds the shard size down to a multiple
-	// (fixed-width records, e.g. the histogram's 8-byte keys).
-	Align int
-}
 
 // Program is one registry entry: a named UDP program compiled at most once.
 type Program struct {
@@ -50,7 +32,7 @@ type Program struct {
 	// Builtin marks the pinned kernels (never evicted).
 	Builtin bool
 	// Chunk is how transform requests are sharded for this program.
-	Chunk ChunkSpec
+	Chunk builtins.ChunkSpec
 
 	mu       sync.Mutex
 	compiled bool
@@ -111,42 +93,13 @@ func NewRegistry(capacity int) *Registry {
 		order:    list.New(),
 		cap:      capacity,
 	}
-	nl := ChunkSpec{Sep: '\n', HasSep: true}
-	r.builtin("echo", ChunkSpec{}, func() (*udp.Program, error) {
-		p := core.NewProgram("echo", 8)
-		s := p.AddState("s", core.ModeStream)
-		s.Majority(s, core.AOut8(core.RSym))
-		return p, nil
-	})
-	r.builtin("csvparse", nl, func() (*udp.Program, error) {
-		return csvparse.BuildProgram(), nil
-	})
-	r.builtin("csvpipe", nl, func() (*udp.Program, error) {
-		return csvparse.BuildProgramSep('|'), nil
-	})
-	r.builtin("jsonparse", nl, func() (*udp.Program, error) {
-		return jsonparse.BuildProgram(), nil
-	})
-	r.builtin("xmlparse", nl, func() (*udp.Program, error) {
-		return xmlparse.BuildProgram(), nil
-	})
-	r.builtin("histogram16", ChunkSpec{Align: 8}, func() (*udp.Program, error) {
-		return histogram.BuildProgramEmit(histogram.UniformEdges(16, 0, 1))
-	})
-	return r
-}
-
-func (r *Registry) builtin(name string, spec ChunkSpec, build func() (*udp.Program, error)) {
-	r.builtins[name] = &Program{
-		ID: name, Name: name, Builtin: true, Chunk: spec,
-		compile: func() (*udp.Image, error) {
-			p, err := build()
-			if err != nil {
-				return nil, err
-			}
-			return udp.Compile(p)
-		},
+	for _, b := range builtins.All() {
+		r.builtins[b.Name] = &Program{
+			ID: b.Name, Name: b.Name, Builtin: true, Chunk: b.Chunk,
+			compile: func() (*udp.Image, error) { return udp.Compile(b.Build()) },
+		}
 	}
+	return r
 }
 
 // Lookup resolves a transform target: a built-in name or a POSTed ID. A hit
@@ -168,7 +121,7 @@ func (r *Registry) Lookup(id string) (*Program, bool) {
 // hash. Re-POSTing identical assembly returns the cached entry (cached =
 // true) without recompiling. The least recently used entry is evicted when
 // the cache is full.
-func (r *Registry) Register(asmText []byte, name string, spec ChunkSpec) (p *Program, cached bool, err error) {
+func (r *Registry) Register(asmText []byte, name string, spec builtins.ChunkSpec) (p *Program, cached bool, err error) {
 	sum := sha256.Sum256(asmText)
 	id := "sha256:" + hex.EncodeToString(sum[:16])
 

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"udp"
+	"udp/internal/builtins"
 	"udp/internal/memsys"
 	"udp/internal/obs"
 )
@@ -388,21 +389,21 @@ type RegisterResponse struct {
 // chunkSpecFromQuery parses ?sep= (single byte, decimal byte value, or
 // "none") and ?align= into a ChunkSpec. The default is newline-separated
 // records.
-func chunkSpecFromQuery(q map[string][]string) (ChunkSpec, error) {
-	spec := ChunkSpec{Sep: '\n', HasSep: true}
+func chunkSpecFromQuery(q map[string][]string) (builtins.ChunkSpec, error) {
+	spec := builtins.ChunkSpec{Sep: '\n', HasSep: true}
 	if vs := q["sep"]; len(vs) > 0 {
 		v := vs[0]
 		switch {
 		case v == "none":
-			spec = ChunkSpec{}
+			spec = builtins.ChunkSpec{}
 		case len(v) == 1:
-			spec = ChunkSpec{Sep: v[0], HasSep: true}
+			spec = builtins.ChunkSpec{Sep: v[0], HasSep: true}
 		default:
 			n, err := strconv.ParseUint(v, 10, 8)
 			if err != nil {
 				return spec, fmt.Errorf("sep must be one byte, a decimal byte value, or \"none\"")
 			}
-			spec = ChunkSpec{Sep: byte(n), HasSep: true}
+			spec = builtins.ChunkSpec{Sep: byte(n), HasSep: true}
 		}
 	}
 	if vs := q["align"]; len(vs) > 0 {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"udp"
+	"udp/internal/builtins"
 	"udp/internal/client"
 	"udp/internal/core"
 	"udp/internal/kernels/csvparse"
@@ -74,7 +75,7 @@ func TestTransformPlainBodyAndEmptyInput(t *testing.T) {
 
 func TestTransformHistogramFixedWidthRecords(t *testing.T) {
 	_, c := newTestServer(t, server.Options{})
-	edges := histogram.UniformEdges(16, 0, 1)
+	edges := builtins.HistogramEdges()
 	values := []float64{-3, 0.01, 0.5, 0.99, 1.5, 0.25, 0.75, 0.0625, 0.9999}
 	got, err := c.TransformBytes(context.Background(), "histogram16", histogram.KeyBytes(values))
 	if err != nil {
@@ -318,18 +319,18 @@ func TestRegistryLRUEviction(t *testing.T) {
 	mkAsm := func(sep byte) []byte {
 		return []byte(udp.FormatAssembly(csvparse.BuildProgramSep(sep)))
 	}
-	p1, _, err := reg.Register(mkAsm('|'), "p1", server.ChunkSpec{})
+	p1, _, err := reg.Register(mkAsm('|'), "p1", builtins.ChunkSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := reg.Register(mkAsm(';'), "p2", server.ChunkSpec{}); err != nil {
+	if _, _, err := reg.Register(mkAsm(';'), "p2", builtins.ChunkSpec{}); err != nil {
 		t.Fatal(err)
 	}
 	// Touch p1 so p2 becomes least recently used, then overflow.
 	if _, ok := reg.Lookup(p1.ID); !ok {
 		t.Fatal("p1 missing before eviction")
 	}
-	if _, _, err := reg.Register(mkAsm('\t'), "p3", server.ChunkSpec{}); err != nil {
+	if _, _, err := reg.Register(mkAsm('\t'), "p3", builtins.ChunkSpec{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := reg.Lookup(p1.ID); !ok {

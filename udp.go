@@ -66,8 +66,6 @@ type (
 	Stats = machine.Stats
 	// Match is an accept event.
 	Match = machine.Match
-	// LaneSetup customizes a lane before it runs a shard.
-	LaneSetup = machine.LaneSetup
 	// Engine selects a lane execution tier (see the Engine* constants).
 	Engine = machine.Engine
 )
@@ -283,13 +281,6 @@ type execOpts struct {
 // executes on at most min(lanes, GOMAXPROCS) goroutines either way.
 func WithMaxLanes(n int) ExecOption {
 	return func(o *execOpts) { o.cfg.Lanes = n }
-}
-
-// WithLaneSetup installs a per-shard lane customization hook; it runs after
-// the lane is reset and the shard's input attached, with the shard's
-// stream-order index.
-func WithLaneSetup(setup LaneSetup) ExecOption {
-	return func(o *execOpts) { o.cfg.Setup = setup }
 }
 
 // WithErrorPolicy selects FailFast (default) or CollectErrors.
