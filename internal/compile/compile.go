@@ -27,7 +27,9 @@
 // Eligibility is conservative: the compiled tier refuses any image whose
 // precomputed next-state tables cannot be built at all — multi-active
 // (NFA) images, multi-segment images, images entering outside segment 0.
-// The machine degrades such images to the decoded tier. Invalidation at
+// The machine runs multi-active images on its memory interpreter (their
+// frontier walk has no other runner) and degrades the rest to the decoded
+// tier. Invalidation at
 // run time is the machine's job: a store into the code window or a chain
 // that moves the code base (OpSetCB only appears in slow chains — the
 // fused set excludes it) hands the rest of the run to the interpreter,

@@ -22,8 +22,7 @@ import (
 // interpreter (which bounds the walk with its own traps).
 const maxChainWords = 1 << 12
 
-// ChainNone marks a slot with no resolvable action chain (or no fork
-// continuation, for the Next field).
+// ChainNone marks a slot with no resolvable action chain.
 const ChainNone int32 = -1
 
 // DecodedSlot is the predecoded form of one code word, carrying everything
@@ -39,8 +38,6 @@ const ChainNone int32 = -1
 //   - ChainIdx indexes Decoded.Chains when the chain was memoizable;
 //     ChainNone means the chain leaves the image words and must be executed
 //     by the memory interpreter at ChainAddr.
-//   - Next is the fork-chain continuation word address for epsilon entries
-//     (multi-active images), ChainNone when the entry terminates its chain.
 type DecodedSlot struct {
 	Sig        uint8
 	Kind       core.TransKind
@@ -50,7 +47,6 @@ type DecodedSlot struct {
 	Target     uint16
 	ChainAddr  int32
 	ChainIdx   int32
-	Next       int32
 }
 
 // Decoded is the shared predecoded form of an image. It is immutable after
@@ -88,7 +84,7 @@ func decodeImage(im *Image) *Decoded {
 	chainAt := map[int]int32{}
 	for addr, w := range im.Words {
 		s := &d.Slots[addr]
-		s.ChainAddr, s.ChainIdx, s.Next = ChainNone, ChainNone, ChainNone
+		s.ChainAddr, s.ChainIdx = ChainNone, ChainNone
 		s.Sig = uint8(w >> 26)
 		if s.Sig == 0 {
 			continue // empty slot: never matches a probe
@@ -113,19 +109,6 @@ func decodeImage(im *Image) *Decoded {
 			s.ChainAddr = int32(im.ActionBase + int(t.Attach))
 		default:
 			s.ChainAddr = int32(im.ActionBase + int(t.Attach)*core.ScaledStride)
-		}
-
-		// Fork-chain continuation for multi-active epsilon entries (the
-		// attach field is a link, not an action reference, on that path).
-		if t.Kind == core.KindEpsilon {
-			switch {
-			case t.Attach == 0 && t.AttachMode == core.AttachDirect:
-				// Chain terminates.
-			case t.AttachMode == core.AttachScaled:
-				s.Next = int32(im.ActionBase + int(t.Attach)*core.ScaledStride)
-			default:
-				s.Next = int32(addr + int(t.Attach))
-			}
 		}
 
 		if s.ChainAddr >= 0 {

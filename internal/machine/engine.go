@@ -3,6 +3,9 @@
 // oracle), the predecoded cache, and the compiled tier (internal/compile).
 // Engine names the tier a caller asks for; the lane resolves it against
 // what the image and run support and reports what actually executed.
+// Multi-active (NFA) images have one runner, the frontier walk over lane
+// memory: they run on the memory interpreter, and report EngineInterp,
+// whichever tier was asked for.
 package machine
 
 import (
@@ -17,8 +20,8 @@ type Engine uint8
 
 const (
 	// EngineAuto picks the fastest eligible tier: compiled when the image
-	// lowers (and neither a tracer nor a profiler is attached), else
-	// decoded, else the memory interpreter. This is the default.
+	// lowers (and no profiler is attached), else decoded, else the memory
+	// interpreter. This is the default.
 	EngineAuto Engine = iota
 	// EngineInterp forces the memory-word interpreter — the reference
 	// semantics the other tiers must match bit for bit (oracle runs).
@@ -26,7 +29,8 @@ const (
 	// EngineDecoded forces the predecoded-cache interpreter.
 	EngineDecoded
 	// EngineCompiled asks for the compiled tier; an ineligible image
-	// degrades to decoded (EngineInUse reports what ran).
+	// degrades to decoded, a multi-active one to the interpreter
+	// (EngineInUse reports what ran).
 	EngineCompiled
 )
 
@@ -91,15 +95,15 @@ func (l *Lane) EngineInUse() Engine {
 	return l.ranEngine
 }
 
-// selectEngine resolves the tier for this Run: compiled needs an eligible
-// image and no per-dispatch observers (the tracer and the automaton
-// profiler hook every dispatch, which is exactly what the compiled tier
-// compiles out), and any tier needs a live decoded cache.
+// selectEngine resolves the tier for a single-active Run: compiled needs an
+// eligible image and no automaton profiler (it hooks every dispatch, which
+// is exactly what the compiled tier compiles out), and any tier needs a
+// live decoded cache.
 func (l *Lane) selectEngine() Engine {
 	if !l.decOK {
 		return EngineInterp
 	}
-	if l.comp != nil && l.prof == nil && l.trace == nil {
+	if l.comp != nil && l.prof == nil {
 		return EngineCompiled
 	}
 	return EngineDecoded

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"sync/atomic"
 
 	"udp/internal/compile"
@@ -91,7 +90,6 @@ type Lane struct {
 
 	traceBanks bool
 	bankTrace  []uint64
-	trace      io.Writer
 
 	// prof, when non-nil, histograms state visits, transition kinds, action
 	// opcodes and refill/put-back events into the automaton profiler. Every
@@ -102,7 +100,9 @@ type Lane struct {
 	halted bool
 	exit   int32
 
-	frontier []frontierEntry
+	// nfa holds the active and next frontiers of a multi-active run,
+	// allocated on the lane's first one (see runNFA).
+	nfa *[2]frontier
 
 	// Dispatch-trace ring: the last TraceTail dispatches, materialized
 	// into a Trap when the lane faults.
@@ -116,11 +116,6 @@ type Lane struct {
 
 	stop      *atomic.Bool
 	stopCheck uint64
-}
-
-type frontierEntry struct {
-	base int
-	mode core.DispatchMode
 }
 
 // slabs backs every lane's bank window and output buffer: lanes are
@@ -242,7 +237,6 @@ func (l *Lane) Reset() {
 	l.stats = Stats{}
 	l.halted = false
 	l.exit = 0
-	l.frontier = l.frontier[:0]
 	l.ringN = 0
 	l.progressMark = 0
 	l.stall = 0
@@ -409,10 +403,7 @@ func (l *Lane) Run(maxCycles uint64) error {
 		l.stream = NewBitStream(nil)
 	}
 	if l.img.MultiActive {
-		l.ranEngine = EngineDecoded
-		if !l.decOK {
-			l.ranEngine = EngineInterp
-		}
+		l.ranEngine = EngineInterp
 		return l.runNFA(maxCycles)
 	}
 	l.ranEngine = l.selectEngine()
@@ -511,10 +502,6 @@ func (l *Lane) dispatchMem(sym uint32, hop int) error {
 			}
 		}
 		l.regs[core.RSym] = sym
-		if l.trace != nil {
-			fmt.Fprintf(l.trace, "cyc=%d base=%d sym=%#x %s -> %d\n",
-				l.stats.Cycles, l.base, sym, t.Kind, int(l.cb)+int(t.Target))
-		}
 		if l.prof != nil {
 			l.prof.Take(t.Kind)
 		}
@@ -615,10 +602,6 @@ func (l *Lane) dispatchDecoded(sym uint32) error {
 			}
 		}
 		l.regs[core.RSym] = sym
-		if l.trace != nil {
-			fmt.Fprintf(l.trace, "cyc=%d base=%d sym=%#x %s -> %d\n",
-				l.stats.Cycles, l.base, sym, ds.Kind, int(l.cb)+int(ds.Target))
-		}
 		if l.prof != nil {
 			l.prof.Take(ds.Kind)
 		}
@@ -758,10 +741,6 @@ func (l *Lane) memAddr(a uint32, n int) (int, error) {
 	}
 	return addr, nil
 }
-
-// SetTrace streams a one-line record of every taken transition to w
-// (debugging aid: cycle, state base, symbol, kind, target). Nil disables.
-func (l *Lane) SetTrace(w io.Writer) { l.trace = w }
 
 // EnableBankTrace records a (cycle, bank) event for every memory access,
 // feeding the global-addressing conflict study. One entry is recorded per

@@ -360,25 +360,3 @@ func TestSplitBytesReassembles(t *testing.T) {
 		}
 	}
 }
-
-func TestTraceOutput(t *testing.T) {
-	p := core.NewProgram("tr", 8)
-	s := p.AddState("s", core.ModeStream)
-	s.On('a', s)
-	s.Majority(s)
-	lane, err := NewLane(mustLayout(t, p), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	lane.SetTrace(&buf)
-	lane.SetInput([]byte("ab"))
-	if err := lane.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !bytes.Contains(buf.Bytes(), []byte("labeled")) ||
-		!bytes.Contains(buf.Bytes(), []byte("majority")) {
-		t.Fatalf("trace missing kinds:\n%s", out)
-	}
-}

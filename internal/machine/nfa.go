@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"sort"
-
 	"udp/internal/core"
 	"udp/internal/effclip"
 	"udp/internal/encode"
@@ -14,22 +12,59 @@ import (
 // corrupt image.
 const maxForkChain = 1024
 
+// frontier is one step's set of active state bases: a membership bitset over
+// every word a transition target can name, plus the members in ascending
+// order, which is the order their actions run in.
+type frontier struct {
+	bits [1 << core.TargetBits / 64]uint64
+	list []int
+}
+
+// add activates base b and reports whether it was inactive.
+func (f *frontier) add(b int) bool {
+	w, m := b>>6, uint64(1)<<(b&63)
+	if f.bits[w]&m != 0 {
+		return false
+	}
+	f.bits[w] |= m
+	f.list = append(f.list, b)
+	i := len(f.list) - 1
+	for ; i > 0 && f.list[i-1] > b; i-- {
+		f.list[i] = f.list[i-1]
+	}
+	f.list[i] = b
+	return true
+}
+
+// clear empties the set, touching only the bitset words its members set.
+func (f *frontier) clear() {
+	for _, b := range f.list {
+		f.bits[b>>6] = 0
+	}
+	f.list = f.list[:0]
+}
+
 // runNFA executes in multi-active mode: the lane keeps a frontier of active
 // states (multi-state activation via epsilon transitions, paper Section
 // 3.2.1); every active state dispatches on each symbol, a miss silently
 // deactivates that state, and fork chains can activate several targets. The
 // compiler resolves true epsilon closures statically, so every runtime step
-// consumes exactly one symbol.
+// consumes exactly one symbol. It always walks lane memory (EngineInterp):
+// the two frontiers are allocated on the lane's first multi-active run and
+// reused after.
 func (l *Lane) runNFA(maxCycles uint64) error {
 	if len(l.img.Segments) > 1 {
 		return l.trapf(fault.TrapBadSignature, "multi-active program spans several segments (unsupported)")
 	}
-	active := map[int]bool{l.base: true}
-	next := map[int]bool{}
-	order := make([]int, 0, 16)
+	if l.nfa == nil {
+		l.nfa = new([2]frontier)
+	}
+	active, next := &l.nfa[0], &l.nfa[1]
+	active.clear()
+	active.add(l.base)
 	for !l.halted {
 		if l.img.StartAlways {
-			active[l.img.EntryBase] = true
+			active.add(l.img.EntryBase)
 		}
 		if l.stats.Cycles >= maxCycles {
 			return l.trapf(fault.TrapCycleBudget, "exceeded %d-cycle budget", maxCycles)
@@ -37,7 +72,7 @@ func (l *Lane) runNFA(maxCycles uint64) error {
 		if l.interrupted() {
 			return ErrInterrupted
 		}
-		if len(active) == 0 {
+		if len(active.list) == 0 {
 			return nil
 		}
 		if !l.stream.Has(l.ss) {
@@ -47,22 +82,9 @@ func (l *Lane) runNFA(maxCycles uint64) error {
 		l.stats.StreamBits += uint64(l.ss)
 		l.regs[core.RSym] = sym
 
-		order = order[:0]
-		for b := range active {
-			order = append(order, b)
-		}
-		sort.Ints(order) // deterministic action side-effect order
-		for k := range next {
-			delete(next, k)
-		}
-		for _, b := range order {
-			var err error
-			if l.decOK {
-				err = l.nfaProbeDecoded(b, sym, next, 0)
-			} else {
-				err = l.nfaProbe(b, sym, next, 0)
-			}
-			if err != nil {
+		next.clear()
+		for _, b := range active.list {
+			if err := l.nfaProbe(b, sym, next, 0); err != nil {
 				return err
 			}
 			if l.halted {
@@ -76,7 +98,7 @@ func (l *Lane) runNFA(maxCycles uint64) error {
 
 // nfaProbe dispatches symbol sym at state base b, activating targets into
 // next. depth bounds default-transition retry hops.
-func (l *Lane) nfaProbe(b int, sym uint32, next map[int]bool, depth int) error {
+func (l *Lane) nfaProbe(b int, sym uint32, next *frontier, depth int) error {
 	if depth > 64 {
 		return l.trapf(fault.TrapEpsilonLoop, "default-transition loop at base %d", b)
 	}
@@ -86,12 +108,13 @@ func (l *Lane) nfaProbe(b int, sym uint32, next map[int]bool, depth int) error {
 	if l.prof != nil {
 		l.prof.Dispatch(b)
 	}
+	sig := effclip.Sig(b) // never 0, so an empty slot always misses
 	addr := b + int(sym)
 	w, err := l.fetch(addr)
 	if err != nil {
 		return err
 	}
-	if encode.EmptySlot(w) || encode.GetTransition(w).Sig != effclip.Sig(b) {
+	if encode.GetTransition(w).Sig != sig {
 		// Fallback probe.
 		l.stats.Cycles++
 		l.stats.FallbackProbes++
@@ -102,12 +125,9 @@ func (l *Lane) nfaProbe(b int, sym uint32, next map[int]bool, depth int) error {
 		if err != nil {
 			return err
 		}
-		if encode.EmptySlot(fw) {
-			return nil // deactivate silently
-		}
 		ft := encode.GetTransition(fw)
-		if ft.Sig != effclip.Sig(b) {
-			return nil
+		if ft.Sig != sig {
+			return nil // empty or foreign slot: deactivate silently
 		}
 		switch ft.Kind {
 		case core.KindMajority:
@@ -127,15 +147,13 @@ func (l *Lane) nfaProbe(b int, sym uint32, next map[int]bool, depth int) error {
 		}
 	}
 	// Walk the fork chain rooted at this slot.
-	return l.nfaFork(b, addr, w, 0, next)
+	return l.nfaFork(b, addr, w, next)
 }
 
-// nfaFork walks a fork chain from word addr (already fetched as w), hops
-// continuations deep, activating every epsilon target and executing the
-// terminal entry. The decoded walk delegates here when a continuation leaves
-// the decoded image.
-func (l *Lane) nfaFork(b, addr int, w uint32, hops int, next map[int]bool) error {
-	for ; ; hops++ {
+// nfaFork walks a fork chain from word addr (already fetched as w),
+// activating every epsilon target and executing the terminal entry.
+func (l *Lane) nfaFork(b, addr int, w uint32, next *frontier) error {
+	for hops := 0; ; hops++ {
 		if hops > maxForkChain {
 			return l.trapf(fault.TrapEpsilonLoop, "fork chain at base %d exceeds %d hops (cycle)", b, maxForkChain)
 		}
@@ -148,7 +166,7 @@ func (l *Lane) nfaFork(b, addr int, w uint32, hops int, next map[int]bool) error
 			if l.prof != nil {
 				l.prof.Take(core.KindEpsilon)
 			}
-			next[int(t.Target)] = true
+			next.add(int(t.Target))
 			if t.Attach == 0 && t.AttachMode == core.AttachDirect {
 				return nil
 			}
@@ -173,8 +191,8 @@ func (l *Lane) nfaFork(b, addr int, w uint32, hops int, next map[int]bool) error
 // nfaTake executes a terminal chain entry: run its actions and activate its
 // target. Activation is idempotent: a target already activated this step
 // skips re-execution (accept actions fire once per step per target).
-func (l *Lane) nfaTake(t encode.Transition, at int, next map[int]bool) error {
-	if next[int(t.Target)] {
+func (l *Lane) nfaTake(t encode.Transition, at int, next *frontier) error {
+	if !next.add(int(t.Target)) {
 		return nil
 	}
 	if l.prof != nil {
@@ -184,116 +202,5 @@ func (l *Lane) nfaTake(t encode.Transition, at int, next map[int]bool) error {
 		return err
 	}
 	l.stats.Activations++
-	next[int(t.Target)] = true
-	return nil
-}
-
-// nfaProbeDecoded is nfaProbe on the predecoded cache — same stats, traps and
-// activation order, with transitions read from shared DecodedSlots. It
-// delegates to the memory path whenever a probe leaves the decoded image or a
-// store has invalidated the cache.
-func (l *Lane) nfaProbeDecoded(b int, sym uint32, next map[int]bool, depth int) error {
-	if depth > 64 {
-		return l.trapf(fault.TrapEpsilonLoop, "default-transition loop at base %d", b)
-	}
-	d := l.dec
-	addr := b + int(sym)
-	if !l.decOK || uint(addr) >= uint(len(d.Slots)) || b == 0 {
-		return l.nfaProbe(b, sym, next, depth)
-	}
-	l.stats.Cycles++
-	l.stats.Dispatches++
-	l.traceRecord(b, sym)
-	if l.prof != nil {
-		l.prof.Dispatch(b)
-	}
-	bs := effclip.Sig(b)
-	ds := &d.Slots[addr]
-	if ds.Sig != bs {
-		// Fallback probe (b ≥ 1 here, so b-1 is in range).
-		l.stats.Cycles++
-		l.stats.FallbackProbes++
-		if l.prof != nil {
-			l.prof.Fallback()
-		}
-		fs := &d.Slots[b-1]
-		if fs.Sig != bs {
-			return nil // empty or foreign slot: deactivate silently
-		}
-		switch fs.Kind {
-		case core.KindMajority:
-			return l.nfaTakeDecoded(fs, next)
-		case core.KindDefault:
-			l.stats.DefaultHops++
-			if l.prof != nil {
-				l.prof.DefaultHop()
-				l.prof.Take(core.KindDefault)
-			}
-			if err := l.execAttachDecoded(fs); err != nil {
-				return err
-			}
-			if l.decOK {
-				return l.nfaProbeDecoded(int(fs.Target), sym, next, depth+1)
-			}
-			return l.nfaProbe(int(fs.Target), sym, next, depth+1)
-		default:
-			return nil
-		}
-	}
-	return l.nfaForkDecoded(b, addr, 0, next)
-}
-
-// nfaForkDecoded walks a fork chain through the decoded slots, handing the
-// walk to nfaFork when a continuation leaves the decoded image (the memory
-// path charges the same cycle, then fetches — possibly trapping — exactly as
-// this does).
-func (l *Lane) nfaForkDecoded(b, addr, hops int, next map[int]bool) error {
-	d := l.dec
-	bs := effclip.Sig(b)
-	for ; ; hops++ {
-		if hops > maxForkChain {
-			return l.trapf(fault.TrapEpsilonLoop, "fork chain at base %d exceeds %d hops (cycle)", b, maxForkChain)
-		}
-		ds := &d.Slots[addr]
-		if ds.Sig != bs {
-			return l.trapf(fault.TrapBadSignature, "corrupt fork chain at word %d", addr)
-		}
-		if ds.Kind == core.KindEpsilon {
-			l.stats.Activations++
-			if l.prof != nil {
-				l.prof.Take(core.KindEpsilon)
-			}
-			next[int(ds.Target)] = true
-			if ds.Next < 0 {
-				return nil
-			}
-			addr = int(ds.Next)
-			l.stats.Cycles++
-			if uint(addr) >= uint(len(d.Slots)) {
-				w, err := l.fetch(addr)
-				if err != nil {
-					return err
-				}
-				return l.nfaFork(b, addr, w, hops+1, next)
-			}
-			continue
-		}
-		return l.nfaTakeDecoded(ds, next)
-	}
-}
-
-// nfaTakeDecoded is nfaTake for a decoded terminal entry.
-func (l *Lane) nfaTakeDecoded(ds *effclip.DecodedSlot, next map[int]bool) error {
-	if next[int(ds.Target)] {
-		return nil
-	}
-	if l.prof != nil {
-		l.prof.Take(ds.Kind)
-	}
-	if err := l.execAttachDecoded(ds); err != nil {
-		return err
-	}
-	l.stats.Activations++
-	next[int(ds.Target)] = true
 	return nil
 }

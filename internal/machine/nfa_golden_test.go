@@ -146,6 +146,7 @@ func TestNFAGolden(t *testing.T) {
 			img, trace := c.build(t)
 			for _, e := range []machine.Engine{machine.EngineInterp, machine.EngineDecoded, machine.EngineCompiled, machine.EngineAuto} {
 				g := recordNFA(t, img, trace, e)
+				// Complex rules match only where whole hits are planted.
 				if g.Stats.Activations == 0 || (len(g.Matches) == 0) != (c.complex && c.plant == nil) {
 					t.Fatalf("%v: %d activations, %d matches; not exercising the frontier", e, g.Stats.Activations, len(g.Matches))
 				}

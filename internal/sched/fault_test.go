@@ -24,33 +24,35 @@ func panicSetup(bad map[int]bool) machine.LaneSetup {
 	}
 }
 
+// TestPanicIsSandboxedAsTrap: a panic in lane code fails the run with a
+// ShardError wrapping a TrapPanic that carries the panic value, instead of
+// unwinding the pool.
 func TestPanicIsSandboxedAsTrap(t *testing.T) {
 	im := echoImage(t)
 	shards := [][]byte{[]byte("aa"), []byte("bb"), []byte("cc")}
-	res, err := Run(context.Background(), im, Slice(shards), Config{
-		Lanes:  1,
-		Policy: CollectErrors,
-		Setup:  panicSetup(map[int]bool{1: true}),
+	var done []int
+	_, err := Run(context.Background(), im, Slice(shards), Config{
+		Lanes: 1,
+		Setup: panicSetup(map[int]bool{1: true}),
+		Hook: func(e Event) {
+			if e.Err == nil {
+				done = append(done, e.Shard)
+			}
+		},
 	})
-	if err != nil {
-		t.Fatalf("a sandboxed panic must not kill the run: %v", err)
+	var se ShardError
+	if !errors.As(err, &se) || se.Shard != 1 {
+		t.Fatalf("err = %v, want a ShardError for shard 1", err)
 	}
-	if len(res.Errors) != 1 || res.Errors[0].Shard != 1 {
-		t.Fatalf("errors %v, want shard 1 only", res.Errors)
-	}
-	if !errors.Is(res.Errors[0].Err, fault.TrapPanic) {
-		t.Fatalf("shard error %v, want TrapPanic", res.Errors[0].Err)
+	if !errors.Is(err, fault.TrapPanic) {
+		t.Fatalf("err = %v, want TrapPanic", err)
 	}
 	var tr *fault.Trap
-	if !errors.As(res.Errors[0].Err, &tr) || !contains(tr.Detail, "poisoned shard") {
-		t.Fatalf("trap detail %q must carry the panic value", tr.Detail)
+	if !errors.As(err, &tr) || !contains(tr.Detail, "poisoned shard") {
+		t.Fatalf("trap %v must carry the panic value", err)
 	}
-	if res.LanesQuarantined != 1 {
-		t.Fatalf("LanesQuarantined = %d, want 1", res.LanesQuarantined)
-	}
-	// The healthy shards around the panic completed on replacement lanes.
-	if string(res.Outputs[0]) != "aa" || string(res.Outputs[2]) != "cc" {
-		t.Fatal("healthy shards lost around the quarantine")
+	if len(done) == 0 || done[0] != 0 {
+		t.Fatalf("healthy shards finished %v, want shard 0 ahead of the panic", done)
 	}
 }
 
@@ -125,21 +127,17 @@ func TestRetriesExhaustedSurfacesTrap(t *testing.T) {
 
 func TestNonRetryableTrapFailsWithoutRetry(t *testing.T) {
 	im := strictImage(t) // only accepts 'a': "b" raises TrapBadSignature
-	res, err := Run(context.Background(), im, Slice([][]byte{[]byte("b")}), Config{
-		Policy: CollectErrors,
-		Retry:  RetryPolicy{Max: 3, Backoff: 50 * time.Microsecond}, // nil list = panic only
+	var events []Event
+	_, err := Run(context.Background(), im, Slice([][]byte{[]byte("b")}), Config{
+		Retry: RetryPolicy{Max: 3, Backoff: 50 * time.Microsecond}, // nil list = panic only
+		Hook:  func(e Event) { events = append(events, e) },
 	})
-	if err != nil {
-		t.Fatal(err)
+	var se ShardError
+	if !errors.As(err, &se) || !errors.Is(err, fault.TrapBadSignature) {
+		t.Fatalf("err = %v, want a ShardError wrapping TrapBadSignature", err)
 	}
-	if res.Retries != 0 {
-		t.Fatalf("Retries = %d for a non-retryable trap, want 0", res.Retries)
-	}
-	if len(res.Faults) != 1 || res.Faults[0].Retried {
-		t.Fatalf("faults %+v, want one unretried record", res.Faults)
-	}
-	if !errors.Is(res.Errors[0].Err, fault.TrapBadSignature) {
-		t.Fatalf("err %v, want TrapBadSignature", res.Errors[0].Err)
+	if len(events) != 1 || events[0].Retried {
+		t.Fatalf("events %+v, want one unretried attempt", events)
 	}
 }
 
@@ -303,23 +301,21 @@ func TestRunReturnsAfterCancelWithSlowShard(t *testing.T) {
 func TestFaultRecordsFlowThroughEvents(t *testing.T) {
 	im := strictImage(t)
 	var traps []*fault.Trap
-	res, err := Run(context.Background(), im, Slice([][]byte{[]byte("ab"), []byte("aa")}), Config{
-		Lanes:  1,
-		Policy: CollectErrors,
+	_, err := Run(context.Background(), im, Slice([][]byte{[]byte("ab"), []byte("aa")}), Config{
+		Lanes: 1,
 		Hook: func(e Event) {
 			if e.Trap != nil {
 				traps = append(traps, e.Trap)
 			}
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(traps) != 1 || traps[0].Kind != fault.TrapBadSignature {
 		t.Fatalf("hook saw traps %v, want one TrapBadSignature", traps)
 	}
-	if len(res.Faults) != 1 || res.Faults[0].Shard != 0 {
-		t.Fatalf("result faults %+v", res.Faults)
+	var se ShardError
+	var tr *fault.Trap
+	if !errors.As(err, &se) || se.Shard != 0 || !errors.As(err, &tr) || tr != traps[0] {
+		t.Fatalf("err = %v, want shard 0's ShardError wrapping the trap the hook saw", err)
 	}
 }
 

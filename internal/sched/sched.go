@@ -51,20 +51,9 @@ var (
 	ErrNilSource = errors.New("sched: nil shard source")
 )
 
-// ErrorPolicy selects how per-shard execution errors end (or don't end) a
-// run.
-type ErrorPolicy int
-
-const (
-	// FailFast cancels the run on the first shard error; Run returns that
-	// error.
-	FailFast ErrorPolicy = iota
-	// CollectErrors records each failing shard in Result.Errors (its
-	// output slot stays nil) and keeps going.
-	CollectErrors
-)
-
-// ShardError ties an execution error to the shard it occurred on.
+// ShardError ties an execution error to the shard it occurred on: the
+// first shard to fail with no retries left cancels the run, and Run
+// returns its error wrapped in a ShardError.
 type ShardError struct {
 	// Shard is the shard index in stream order.
 	Shard int
@@ -244,18 +233,15 @@ type Config struct {
 	// (stage memory, preset registers). It runs after Reset and SetInput,
 	// with the shard's stream-order index.
 	Setup machine.LaneSetup
-	// Policy is the error policy (default FailFast).
-	Policy ErrorPolicy
 	// Hook, when non-nil, receives one Event per finished shard.
 	Hook func(Event)
 	// Budget caps each shard's lane cycles as a function of its input
 	// size; the zero value leaves the machine default (2^33) in place.
 	Budget CycleBudget
 	// Retry re-enqueues shards failing with retryable traps (see
-	// RetryPolicy); the zero value disables retries. Retries take
-	// precedence over Policy: only a shard whose retries are exhausted
-	// (or whose trap is not retryable) reaches FailFast/CollectErrors
-	// handling.
+	// RetryPolicy); the zero value disables retries. Only a shard whose
+	// retries are exhausted (or whose trap is not retryable) fails the
+	// run.
 	Retry RetryPolicy
 	// Inject, when non-nil, is the deterministic fault injector rolled
 	// once per shard attempt (chaos testing; see fault.Injector).
@@ -275,8 +261,7 @@ type Config struct {
 	// memory. Deliveries are serial (no locking needed in the sink) and a
 	// slow sink backpressures the whole pool, which in turn stalls the
 	// producer through the bounded queue — backpressure end to end. A
-	// sink error fails the run regardless of Policy; under CollectErrors
-	// a failed shard is skipped and the cursor advances past it.
+	// sink error fails the run.
 	//
 	// The out slice is only valid for the duration of the call: the
 	// executor recycles the buffer for a later shard's output. A sink
@@ -301,15 +286,12 @@ type Result struct {
 	// InputBytes is the total bytes streamed across shards.
 	InputBytes int
 	// Outputs are the per-shard outputs in shard order (nil for shards
-	// handed to a Sink or skipped under CollectErrors).
+	// handed to a Sink).
 	Outputs [][]byte
 	// Matches are the per-shard accept logs in shard order.
 	Matches [][]machine.Match
 	// Shards is the number of shards pulled from the source.
 	Shards int
-	// Errors holds per-shard failures under CollectErrors (empty under
-	// FailFast, which returns the error instead).
-	Errors []ShardError
 	// Faults logs every shard attempt that ended in a typed trap,
 	// including attempts that were subsequently retried to success.
 	Faults []FaultRecord
@@ -349,7 +331,7 @@ type workItem struct {
 }
 
 // parked is one finished shard waiting in the reorder window for a slower
-// predecessor (out is nil for a shard skipped under CollectErrors).
+// predecessor.
 type parked struct {
 	out []byte
 	at  time.Time
@@ -368,7 +350,8 @@ var mem = memsys.Default()
 // Run streams shards from src through a pool of reusable lanes executing
 // img, and aggregates outputs, matches and counters in shard order. It
 // returns when the source is drained, ctx is cancelled (the context error
-// is returned), or — under FailFast — a shard fails with no retries left.
+// is returned), or a shard fails with no retries left (a ShardError is
+// returned).
 //
 // Fault containment: every shard attempt runs sandboxed — a panic in lane
 // code becomes a fault.TrapPanic and the lane is quarantined and replaced,
@@ -426,9 +409,9 @@ func Run(ctx context.Context, img *effclip.Image, src Source, cfg Config) (*Resu
 	// Run, and outputs are copied, so resolution is the last touch).
 	s.recycle, _ = src.(Recycler)
 
-	// Reorder window for Config.Sink: finished outputs park here (nil for a
-	// shard skipped under CollectErrors) until every predecessor has been
-	// delivered, so the sink sees outputs in shard order.
+	// Reorder window for Config.Sink: finished outputs park here until
+	// every predecessor has been delivered, so the sink sees outputs in
+	// shard order.
 	if cfg.Sink != nil {
 		s.pending = make(map[int]parked)
 	}
@@ -469,7 +452,6 @@ func Run(ctx context.Context, img *effclip.Image, src Source, cfg Config) (*Resu
 	res.Total = s.total
 	res.InputBytes = s.inputBytes
 	res.Cycles = makespan(s.shardCycles, lanes)
-	res.Errors = s.shardErrs
 	res.QueueHighWater = s.highWater
 	res.Wall = time.Since(start)
 	return res, nil
@@ -513,11 +495,10 @@ type runState struct {
 	mu          sync.Mutex // guards everything below, and serializes Hook and Sink
 	outputs     [][]byte
 	matches     [][]machine.Match
-	shardCycles []uint64 // the successful attempt's cycles; 0 for a failed shard
+	shardCycles []uint64 // each shard's successful attempt's cycles
 	inputBytes  int
 	total       machine.Stats
-	shardErrs   []ShardError
-	runErr      error // first fatal error (FailFast shard error or source error)
+	runErr      error // first fatal error (shard, sink or source error)
 	highWater   int
 	inflight    int  // shards enqueued but not finally resolved (retries keep it held)
 	prodDone    bool // producer has stopped enqueuing new shards
@@ -621,9 +602,6 @@ func (s *runState) drainSink() {
 		// Reorder-window dwell: how long this finished shard waited for a
 		// slower predecessor before the sink could take it.
 		s.clock.Add(obs.StageSink, time.Since(p.at))
-		if p.out == nil { // failed shard under CollectErrors
-			continue
-		}
 		err := s.cfg.Sink(s.sinkNext-1, p.out)
 		mem.Put(p.out)
 		if err != nil {
@@ -839,16 +817,7 @@ func (s *runState) worker(w int) {
 					}
 				}
 				if !ev.Retried {
-					if cfg.Policy == CollectErrors {
-						s.shardErrs = append(s.shardErrs, ShardError{Shard: it.idx, Err: err})
-						s.setSlot(it.idx, nil, nil, len(it.data), 0)
-						if cfg.Sink != nil {
-							s.pending[it.idx] = parked{at: time.Now()}
-							s.drainSink()
-						}
-					} else {
-						s.fail(ShardError{Shard: it.idx, Err: err})
-					}
+					s.fail(ShardError{Shard: it.idx, Err: err})
 					s.recycleShard(it.data)
 					s.inflight--
 					s.maybeClose()

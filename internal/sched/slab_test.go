@@ -129,15 +129,23 @@ func TestRunReturnsEverySlab(t *testing.T) {
 		{"injected panic, no retry", func(t *testing.T) int {
 			// The injected panic fires before the lane sees its input, so
 			// each quarantined lane holds its bank window and nothing else.
-			res, err := Run(context.Background(), echoImage(t),
+			// The first panic fails the run; the hook counts every lane
+			// quarantined before the others drained.
+			panics := 0
+			_, err := Run(context.Background(), echoImage(t),
 				Records(bytes.NewReader(rows.Bytes()), 4096, '\n'), Config{
-					Lanes: 3, Sink: discard, Policy: CollectErrors,
+					Lanes: 3, Sink: discard,
 					Inject: &fault.Injector{Seed: 9, Rates: map[fault.Kind]float64{fault.TrapPanic: 1}},
+					Hook: func(e Event) {
+						if e.Trap != nil && e.Trap.Kind == fault.TrapPanic {
+							panics++
+						}
+					},
 				})
-			if err != nil || res.LanesQuarantined != res.Shards {
-				t.Fatalf("res %+v, err %v", res, err)
+			if !errors.Is(err, fault.TrapPanic) || panics == 0 {
+				t.Fatalf("err %v after %d panics, want the first panic's trap", err, panics)
 			}
-			return res.LanesQuarantined
+			return panics
 		}},
 		{"panic retried on a fresh lane", func(t *testing.T) int {
 			res, err := Run(context.Background(), echoImage(t),

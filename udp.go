@@ -98,18 +98,18 @@ func ParseEngine(s string) (Engine, error) { return machine.ParseEngine(s) }
 // Executor types (see internal/sched for full docs).
 type (
 	// ExecResult aggregates a streaming Exec run: the makespan, counters
-	// and per-shard outputs, plus shard count, collected shard errors and
-	// queue telemetry.
+	// and per-shard outputs, plus shard count, fault records and queue
+	// telemetry.
 	ExecResult = sched.Result
 	// ShardEvent is one per-shard observability record delivered to the
 	// WithStatsHook callback.
 	ShardEvent = sched.Event
-	// ShardError ties an execution error to the shard it occurred on.
+	// ShardError ties an execution error to the shard it occurred on: the
+	// first shard to fail with no retries left ends the run, and Exec
+	// returns its error as a ShardError.
 	ShardError = sched.ShardError
 	// ShardSource yields successive input shards for ExecSource.
 	ShardSource = sched.Source
-	// ErrorPolicy selects how per-shard errors end (or don't end) a run.
-	ErrorPolicy = sched.ErrorPolicy
 )
 
 // Observability types (see internal/obs for full docs).
@@ -170,15 +170,6 @@ const (
 // "seed=42,once=1,panic=0.5" or "all=0.05") into a FaultInjector; an empty
 // spec yields (nil, nil) — injection disabled.
 func ParseInjectSpec(spec string) (*FaultInjector, error) { return fault.ParseInjectSpec(spec) }
-
-// Error policies for WithErrorPolicy.
-const (
-	// FailFast cancels the run on the first shard error.
-	FailFast = sched.FailFast
-	// CollectErrors records failing shards in ExecResult.Errors and keeps
-	// going.
-	CollectErrors = sched.CollectErrors
-)
 
 // Typed argument errors. Exec, ExecShards and ExecSource return these (test with errors.Is) instead of panicking deep in the
 // machine when handed a nil image or source.
@@ -283,16 +274,12 @@ func WithMaxLanes(n int) ExecOption {
 	return func(o *execOpts) { o.cfg.Lanes = n }
 }
 
-// WithErrorPolicy selects FailFast (default) or CollectErrors.
-func WithErrorPolicy(p ErrorPolicy) ExecOption {
-	return func(o *execOpts) { o.cfg.Policy = p }
-}
-
 // WithEngine selects the execution tier for every lane of the run (default
 // EngineAuto — the compiled tier whenever the image lowers). The tier a
 // shard actually ran on is surfaced in ShardEvent.Engine: a run can degrade
-// below the requested tier when the image is ineligible (NFA frontiers,
-// multi-segment layouts) or the program self-modifies mid-run.
+// below the requested tier when the image is ineligible (a multi-active NFA
+// image always runs on the interpreter, a multi-segment layout on the
+// decoded tier) or the program self-modifies mid-run.
 func WithEngine(e Engine) ExecOption {
 	return func(o *execOpts) { o.cfg.Engine = e }
 }

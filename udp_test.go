@@ -167,7 +167,9 @@ func TestExecCancellation(t *testing.T) {
 	}
 }
 
-func TestExecErrorPolicies(t *testing.T) {
+// TestExecFailsFast: the first failing shard ends the run, and Exec returns
+// its error as a ShardError wrapping the lane's trap.
+func TestExecFailsFast(t *testing.T) {
 	p := udp.NewProgram("strict", 8)
 	s := p.AddState("s", udp.ModeStream)
 	s.On('a', s, core.AOut8(core.RSym))
@@ -177,20 +179,13 @@ func TestExecErrorPolicies(t *testing.T) {
 	}
 	shards := [][]byte{[]byte("aaa"), []byte("ab"), []byte("aa")}
 
-	if _, err := udp.ExecShards(context.Background(), im, shards, udp.WithMaxLanes(1)); err == nil {
-		t.Fatal("fail-fast run must surface the shard error")
+	_, err = udp.ExecShards(context.Background(), im, shards, udp.WithMaxLanes(1))
+	var se udp.ShardError
+	if !errors.As(err, &se) || se.Shard != 1 {
+		t.Fatalf("err = %v, want a ShardError for shard 1", err)
 	}
-
-	res, err := udp.ExecShards(context.Background(), im, shards,
-		udp.WithMaxLanes(1), udp.WithErrorPolicy(udp.CollectErrors))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Errors) != 1 || res.Errors[0].Shard != 1 {
-		t.Fatalf("errors %v, want shard 1 only", res.Errors)
-	}
-	if string(res.Outputs[0]) != "aaa" || string(res.Outputs[2]) != "aa" {
-		t.Fatal("successful shards must keep their outputs")
+	if !errors.Is(err, udp.TrapBadSignature) {
+		t.Fatalf("err = %v, want the bad-signature trap", err)
 	}
 }
 
